@@ -47,6 +47,7 @@ from .homology import (
 )
 from .linalg_fp import Subspace
 from .localring import (
+    CROSS_CHECK_BUDGET,
     adic_comparison,
     classify_local,
     fiber_decomposability,
@@ -471,7 +472,7 @@ def _cmd_radical(config: JobConfig, rep: Report):
     rad = jacobson_radical(A)
     rep.result["algebra"] = A.name
     rep.result["radical_dim"] = rad.dim
-    if A.p**A.dim <= (1 << 10):
+    if A.p**A.dim <= CROSS_CHECK_BUDGET:
         rep.add_check("radical_cross_check", radical_cross_check(A))
     rep.add_check("radical_nilpotent", A.is_nilpotent_subspace(rad))
 

@@ -28,6 +28,7 @@ class FinDimAlgebra:
             raise InvalidFormError("structure constant tensor must be d x d x d")
         self.unit = np.array(unit, dtype=np.int64) % p
         self.name = name
+        self._radical = None  # filled in by localring.jacobson_radical
         self._check_axioms()
         if central_basis is not None:
             self.central_basis = np.atleast_2d(np.array(central_basis, dtype=np.int64)) % p
@@ -92,20 +93,15 @@ class FinDimAlgebra:
         vecs = [self.mul(u, v) for u in U.basis for v in V.basis]
         return Subspace(vecs, self.dim, self.p)
 
+    def mult_ops(self, side: str = "left") -> np.ndarray:
+        """The stack of matrices of v |-> e_i v (side "left") or v |-> v e_i,
+        one per basis element e_i, acting on column vectors."""
+        return np.transpose(self.table, (0, 2, 1) if side == "left" else (1, 2, 0))
+
     def two_sided_ideal(self, vectors) -> Subspace:
         """Closure of span(vectors) under left and right multiplication."""
-        span = Subspace(vectors, self.dim, self.p)
-        basis_vectors = np.eye(self.dim, dtype=np.int64)
-        while True:
-            new = list(span.basis)
-            for v in span.basis:
-                for e in basis_vectors:
-                    new.append(self.mul(e, v))
-                    new.append(self.mul(v, e))
-            grown = Subspace(new, self.dim, self.p)
-            if grown.dim == span.dim:
-                return grown
-            span = grown
+        ops = np.concatenate([self.mult_ops("left"), self.mult_ops("right")])
+        return Subspace(vectors, self.dim, self.p).closure(ops)
 
     def is_nilpotent_subspace(self, I: Subspace) -> bool:
         cur = I

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidFormError, TooLargeError
-from .findim import FinDimAlgebra
-from .linalg_fp import Subspace, nullspace, rank, rref, solve
+from .findim import ENUM_BUDGET, FinDimAlgebra
+from .linalg_fp import Subspace, nullspace, rank, rref
 from .localring import jacobson_radical
 
 
@@ -59,39 +59,38 @@ class FDModule:
 
     @classmethod
     def regular(cls, A: FinDimAlgebra, side="left") -> "FDModule":
-        if side == "left":
-            mats = [A.left_mult(e) for e in np.eye(A.dim, dtype=np.int64)]
-        else:
-            mats = [A.right_mult(e) for e in np.eye(A.dim, dtype=np.int64)]
-        return cls(A, mats, side)
+        return cls(A, A.mult_ops(side), side)
 
     @classmethod
     def zero(cls, A: FinDimAlgebra, side="left") -> "FDModule":
         return cls(A, np.zeros((A.dim, 0, 0), dtype=np.int64), side)
 
 
-def _free_action(A: FinDimAlgebra, r: int) -> np.ndarray:
-    """Left action of the basis on A^r, flattened to F_p^{r*d}."""
-    d = A.dim
-    out = np.zeros((d, r * d, r * d), dtype=np.int64)
-    for i in range(d):
-        L = A.left_mult(np.eye(d, dtype=np.int64)[i])
-        for b in range(r):
-            out[i, b * d : (b + 1) * d, b * d : (b + 1) * d] = L
-    return out
+def _block_action(A: FinDimAlgebra, r: int, side: str = "left") -> np.ndarray:
+    """Left (or right) multiplication by each basis element on A^r, as
+    block-diagonal matrices on F_p^{r*d}."""
+    eye = np.eye(r, dtype=np.int64)
+    return np.stack([np.kron(eye, X) for X in A.mult_ops(side)])
 
 
-def _module_closure(M: FDModule, vectors) -> Subspace:
-    span = Subspace(vectors, M.dim, M.p)
-    while True:
-        new = list(span.basis)
-        for v in span.basis:
-            for i in range(M.A.dim):
-                new.append(M.action[i] @ v % M.p)
-        grown = Subspace(new, M.dim, M.p)
-        if grown.dim == span.dim:
-            return grown
-        span = grown
+def _cover_map(action: np.ndarray, gens: np.ndarray, p: int) -> np.ndarray:
+    """The map A^r -> F_p^n sending e_i in copy t to action[i] @ gens[t], as
+    an n x (r*d) matrix."""
+    images = action @ np.asarray(gens, dtype=np.int64).T % p  # d x n x r
+    return images.transpose(1, 2, 0).reshape(action.shape[1], -1)
+
+
+def _restricted_action(action: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
+    """The matrices of action on the span of the independent rows of basis,
+    in the coordinates of those rows."""
+    k, n = basis.shape
+    echelon, pivots = rref(np.hstack([basis, np.eye(k, dtype=np.int64)]), p)
+    R, T = echelon[:, :n], echelon[:, n:]  # R = T @ basis is its RREF
+    images = action @ basis.T % p  # column b of images[i] is action[i] @ basis[b]
+    coords = images[:, pivots, :]  # coordinates against the rows of R
+    if np.any((images - R.T @ coords) % p):
+        raise InvalidFormError("the action does not preserve the span")
+    return T.T @ coords % p
 
 
 def _minimal_generators(M: FDModule, rad: Subspace) -> list[np.ndarray]:
@@ -126,7 +125,7 @@ def _minimal_generators(M: FDModule, rad: Subspace) -> list[np.ndarray]:
         for v in candidates:
             if cover.contains(v):
                 continue
-            closure = _module_closure(M, list(N.basis) + [v % p])
+            closure = Subspace(list(N.basis) + [v % p], M.dim, p).closure(M.action)
             if best is None or closure.dim > best_closure.dim:
                 best, best_closure = v % p, closure
         gens.append(best)
@@ -177,54 +176,27 @@ def minimal_projective_resolution(M: FDModule, A: FinDimAlgebra, length: int) ->
         return Resolution(A, M, [], np.zeros((0, 0), dtype=np.int64))
     rad = jacobson_radical(A)
     gens = _minimal_generators(M, rad)
-    r0 = len(gens)
-    eps = np.zeros((M.dim, r0 * d), dtype=np.int64)
-    for t, g in enumerate(gens):
-        for i in range(d):
-            eps[:, t * d + i] = M.action[i] @ g % p
-    res = Resolution(A, M, [r0], eps)
+    eps = _cover_map(M.action, gens, p)
+    res = Resolution(A, M, [len(gens)], eps)
     prev_map = eps
-    prev_rank = r0
+    prev_rank = len(gens)
     for _ in range(length):
         ker = nullspace(prev_map, p) if prev_map.size else np.eye(
             prev_rank * d, dtype=np.int64
         )
         if ker.shape[0] == 0:
             break
-        K = _SyzygyModule(A, prev_rank, ker)
-        kgens = _minimal_generators(K, rad)
-        # kgens live in K's coordinates; send back to F_p^{prev_rank*d}
-        kg = [(g @ ker) % p for g in kgens]
-        r = len(kg)
-        free_act = _free_action(A, prev_rank)
-        D = np.zeros((prev_rank * d, r * d), dtype=np.int64)
-        for t, g in enumerate(kg):
-            for i in range(d):
-                D[:, t * d + i] = free_act[i] @ g % p
-        res.ranks.append(r)
+        free_act = _block_action(A, prev_rank)
+        K = FDModule(A, _restricted_action(free_act, ker, p))
+        # K's generators live in the coordinates of ker; send them back
+        kg = np.array(_minimal_generators(K, rad), dtype=np.int64) @ ker % p
+        D = _cover_map(free_act, kg, p)
+        res.ranks.append(kg.shape[0])
         res.diffs.append(D)
-        res.generators.append(np.array(kg, dtype=np.int64))
+        res.generators.append(kg)
         prev_map = D
-        prev_rank = r
+        prev_rank = kg.shape[0]
     return res
-
-
-class _SyzygyModule(FDModule):
-    """A submodule of A^r presented in the coordinates of a kernel basis."""
-
-    def __init__(self, A: FinDimAlgebra, r: int, basis_rows: np.ndarray):
-        p = A.p
-        free_act = _free_action(A, r)
-        k = basis_rows.shape[0]
-        mats = np.zeros((A.dim, k, k), dtype=np.int64)
-        for i in range(A.dim):
-            for b in range(k):
-                img = free_act[i] @ basis_rows[b] % p
-                coeffs = solve(basis_rows.T, img, p)
-                if coeffs is None:
-                    raise InvalidFormError("kernel is not a submodule")
-                mats[i, :, b] = coeffs
-        super().__init__(A, mats, "left")
 
 
 def hom_module_dimension(M: FDModule, A: FinDimAlgebra) -> int:
@@ -273,16 +245,6 @@ def _dual_matrix(A: FinDimAlgebra, gens: np.ndarray, r_prev: int) -> np.ndarray:
     return out % p
 
 
-def _right_action_blocks(A: FinDimAlgebra, r: int) -> np.ndarray:
-    d = A.dim
-    out = np.zeros((d, r * d, r * d), dtype=np.int64)
-    for i in range(d):
-        R = A.right_mult(np.eye(d, dtype=np.int64)[i])
-        for b in range(r):
-            out[i, b * d : (b + 1) * d, b * d : (b + 1) * d] = R
-    return out
-
-
 def ext_groups(M: FDModule, A: FinDimAlgebra, i: int, resolution: Resolution | None = None) -> ExtResult:
     """Ext^i_A(M, A) with its right-module structure, as the cohomology of
     the dualized free resolution."""
@@ -291,9 +253,6 @@ def ext_groups(M: FDModule, A: FinDimAlgebra, i: int, resolution: Resolution | N
     if M.is_zero():
         return ExtResult(i, 0, np.zeros((d, 0, 0), dtype=np.int64), np.zeros((0, 0), dtype=np.int64))
     res = resolution or minimal_projective_resolution(M, A, i + 1)
-    if res.length < i + 1 and len(res.ranks) <= i + 1:
-        # resolution stopped early: P_{i+1} = 0, so the dual is zero there
-        pass
     r_i = res.ranks[i] if i < len(res.ranks) else 0
     if r_i == 0:
         return ExtResult(i, 0, np.zeros((d, 0, 0), dtype=np.int64), np.zeros((0, 0), dtype=np.int64))
@@ -318,18 +277,13 @@ def ext_groups(M: FDModule, A: FinDimAlgebra, i: int, resolution: Resolution | N
             cur = cur.add(Subspace([v], r_i * d, p))
     reps = np.array(reps, dtype=np.int64) if reps else np.zeros((0, r_i * d), dtype=np.int64)
     q = reps.shape[0]
-    blocks = _right_action_blocks(A, r_i)
     action = np.zeros((d, q, q), dtype=np.int64)
     if q:
-        span = np.vstack([img, reps]) if img.size else reps
-        for k in range(d):
-            for b in range(q):
-                u = blocks[k] @ reps[b] % p
-                coeffs = solve(span.T, u, p)
-                if coeffs is None:
-                    raise InvalidFormError("right action does not preserve cocycles")
-                action[k, :, b] = coeffs[img.shape[0] :]
-        # matrices compose like A^op already (column convention)
+        # the right action on ker / img, in the coordinates of reps
+        span = np.vstack([img, reps])
+        n_img = img.shape[0]
+        blocks = _block_action(A, r_i, "right")
+        action = _restricted_action(blocks, span, p)[:, n_img:, n_img:]
     return ExtResult(i, q, action, reps)
 
 
@@ -358,44 +312,20 @@ def grade(M: FDModule, A: FinDimAlgebra, budget: int = 4):
     return GradeBound(budget)
 
 
-def _cyclic_right_submodules(E: ExtResult, A: FinDimAlgebra, budget: int = 1 << 16):
+def _cyclic_right_submodules(E: ExtResult, A: FinDimAlgebra):
     """Distinct cyclic submodules of the Ext right module."""
     p = A.p
     q = E.dim
-    if p**q > budget:
+    if p**q > ENUM_BUDGET:
         raise TooLargeError("cyclic submodule enumeration budget exceeded")
     seen = {}
     for coeffs in itertools.product(range(p), repeat=q):
         v = np.array(coeffs, dtype=np.int64)
         if not np.any(v):
             continue
-        span = Subspace([v], q, p)
-        while True:
-            new = list(span.basis)
-            for w in span.basis:
-                for k in range(A.dim):
-                    new.append(E.action[k] @ w % p)
-            grown = Subspace(new, q, p)
-            if grown.dim == span.dim:
-                break
-            span = grown
+        span = Subspace([v], q, p).closure(E.action)
         seen[span.key()] = span
     return list(seen.values())
-
-
-def _submodule_as_module(E: ExtResult, N: Subspace, A: FinDimAlgebra) -> FDModule:
-    """Restrict the Ext action to a submodule, over the opposite algebra."""
-    p = A.p
-    k = N.dim
-    mats = np.zeros((A.dim, k, k), dtype=np.int64)
-    for a in range(A.dim):
-        for b in range(k):
-            img = E.action[a] @ N.basis[b] % p
-            coeffs = solve(N.basis.T, img, p)
-            if coeffs is None:
-                raise InvalidFormError("not a submodule")
-            mats[a, :, b] = coeffs
-    return FDModule(A.opposite(), mats, "left")
 
 
 @dataclass
@@ -421,7 +351,8 @@ def auslander_probe(A: FinDimAlgebra, M: FDModule, depth: int = 3) -> AuslanderR
         if E.dim == 0:
             continue
         for N in _cyclic_right_submodules(E, A):
-            Nmod = _submodule_as_module(E, N, A)
+            # the Ext action restricted to N, over the opposite algebra
+            Nmod = FDModule(Aop, _restricted_action(E.action, N.basis, A.p))
             j = grade(Nmod, Aop, budget=max(depth, i))
             if j is math.inf:
                 ok = True

@@ -67,12 +67,6 @@ def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
     return x
 
 
-def in_rowspace(rows: np.ndarray, v: np.ndarray, p: int) -> bool:
-    if rows.size == 0:
-        return not np.any(np.array(v) % p)
-    return rank(np.vstack([rows, v]), p) == rank(rows, p)
-
-
 class Subspace:
     """A subspace of F_p^dim in canonical reduced row echelon form."""
 
@@ -81,19 +75,38 @@ class Subspace:
         self.ambient_dim = ambient_dim
         arr = np.atleast_2d(np.array(list(vectors), dtype=np.int64)) if len(vectors) else np.zeros((0, ambient_dim), dtype=np.int64)
         if arr.size == 0:
-            self.basis = np.zeros((0, ambient_dim), dtype=np.int64)
+            self.basis, self.pivots = np.zeros((0, ambient_dim), dtype=np.int64), []
         else:
-            self.basis = rref(arr, p)[0]
+            self.basis, self.pivots = rref(arr, p)
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
+    def _residues(self, rows: np.ndarray) -> np.ndarray:
+        """Rows reduced against the basis: zero exactly for rows in the span
+        (the basis is RREF, so rows[:, pivots] are the coordinates)."""
+        rows = np.atleast_2d(np.array(rows, dtype=np.int64)) % self.p
+        return (rows - rows[:, self.pivots] @ self.basis) % self.p
+
     def contains(self, v) -> bool:
-        return in_rowspace(self.basis, np.array(v, dtype=np.int64), self.p)
+        return not np.any(self._residues(v))
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
+        return not np.any(self._residues(other.basis))
+
+    def closure(self, ops) -> "Subspace":
+        """The smallest subspace containing this one and stable under each
+        matrix in the stack ops (acting on column vectors)."""
+        ops = np.asarray(ops, dtype=np.int64)
+        span = self
+        while True:
+            images = (ops @ span.basis.T).transpose(0, 2, 1).reshape(-1, self.ambient_dim)
+            new = span._residues(images)
+            new = new[np.any(new, axis=1)]
+            if not new.size:
+                return span
+            span = Subspace(np.vstack([span.basis, new]), self.ambient_dim, self.p)
 
     def __eq__(self, other):
         return (

@@ -18,10 +18,16 @@ from .findim import ENUM_BUDGET, FinDimAlgebra
 from .linalg_fp import Subspace
 
 
+CROSS_CHECK_BUDGET = 1 << 10  # p^d ceiling of the maximal-left-ideal enumeration
+
+
 def jacobson_radical(A: FinDimAlgebra) -> Subspace:
     """The largest nilpotent two-sided ideal, as the sum of all nilpotent
     principal ideals (rad itself is nilpotent by Hopkins, so this exhausts it).
+    Computed once per algebra and stored on it.
     """
+    if A._radical is not None:
+        return A._radical
     if A.p**A.dim > ENUM_BUDGET:
         raise TooLargeError("radical enumeration budget exceeded")
     rad = Subspace([], A.dim, A.p)
@@ -41,33 +47,21 @@ def jacobson_radical(A: FinDimAlgebra) -> Subspace:
         power = A.subspace_product(power, rad)
     if not power.is_zero():
         raise InternalInconsistencyError("computed radical is not nilpotent")
+    A._radical = rad
     return rad
 
 
 def maximal_left_ideals_brute(A: FinDimAlgebra) -> list[Subspace]:
     """All maximal left ideals by enumerating left submodules of A; feasible
-    only for tiny algebras (p^d <= 2^10)."""
-    if A.p**A.dim > (1 << 10):
+    only for tiny algebras (p^d <= CROSS_CHECK_BUDGET)."""
+    if A.p**A.dim > CROSS_CHECK_BUDGET:
         raise TooLargeError("left-ideal enumeration budget exceeded")
-    basis_vectors = np.eye(A.dim, dtype=np.int64)
-
-    def left_closure(vectors) -> Subspace:
-        span = Subspace(vectors, A.dim, A.p)
-        while True:
-            new = list(span.basis)
-            for v in span.basis:
-                for e in basis_vectors:
-                    new.append(A.mul(e, v))
-            grown = Subspace(new, A.dim, A.p)
-            if grown.dim == span.dim:
-                return grown
-            span = grown
-
+    left = A.mult_ops("left")
     cyclic = {}
     for x in A.elements():
         if not np.any(x):
             continue
-        ideal = left_closure([x])
+        ideal = Subspace([x], A.dim, A.p).closure(left)
         cyclic[ideal.key()] = ideal
     # close under sums
     ideals = dict(cyclic)
@@ -178,10 +172,6 @@ def idempotent_ideal_check(I: Subspace, A: FinDimAlgebra) -> bool:
     return A.subspace_product(I, I) == I
 
 
-def central_subalgebra_span(A: FinDimAlgebra, R_basis) -> np.ndarray:
-    return np.atleast_2d(np.array(R_basis, dtype=np.int64)) % A.p
-
-
 def extend_to_algebra_ideal(A: FinDimAlgebra, R_basis, mR: Subspace) -> Subspace:
     """The ideal m_R A spanned by r*a for r in m_R and a in A."""
     vecs = []
@@ -208,8 +198,7 @@ def adic_comparison(A: FinDimAlgebra, m: Subspace, R_basis, mR: Subspace):
 
 def ideals_over(A: FinDimAlgebra, R_basis, mR: Subspace) -> list[Subspace]:
     """Maximal two-sided ideals M of A with M cap R = m_R."""
-    R = central_subalgebra_span(A, R_basis)
-    Rspace = Subspace(R, A.dim, A.p)
+    Rspace = Subspace(R_basis, A.dim, A.p)
     out = []
     for M in maximal_two_sided_ideals(A):
         inter = M.intersect(Rspace)

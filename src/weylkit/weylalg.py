@@ -16,7 +16,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InvalidFormError, UnsupportedError, InternalInconsistencyError
+from .linalg_fp import rank
 from .presentations import NCPoly, Presentation, check_confluence
 
 SUPPORTED_P = (2, 3, 5, 7)
@@ -33,26 +36,6 @@ def standard_h(p: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in h)
 
 
-def _det_mod_p(mat: list[list[int]], p: int) -> int:
-    m = [row[:] for row in mat]
-    size = len(m)
-    det = 1
-    for c in range(size):
-        piv = next((r for r in range(c, size) if m[r][c] % p), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        inv = pow(m[c][c], -1, p)
-        det = det * m[c][c] % p
-        for r in range(c + 1, size):
-            f = m[r][c] * inv % p
-            for cc in range(c, size):
-                m[r][cc] = (m[r][cc] - f * m[c][cc]) % p
-    return det % p
-
-
 def validate_symplectic(h, p: int) -> tuple[tuple[int, ...], ...]:
     h = tuple(tuple(v % p for v in row) for row in h)
     size = len(h)
@@ -64,7 +47,7 @@ def validate_symplectic(h, p: int) -> tuple[tuple[int, ...], ...]:
         for j in range(size):
             if (h[i][j] + h[j][i]) % p:
                 raise InvalidFormError("h must be skew-symmetric")
-    if _det_mod_p([list(r) for r in h], p) == 0:
+    if rank(np.array(h, dtype=np.int64), p) < size:
         raise InvalidFormError("h is degenerate")
     return h
 

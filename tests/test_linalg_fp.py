@@ -1,0 +1,110 @@
+"""The F_p echelon-and-closure kernel: Subspace.contains, Subspace.closure,
+and the restricted action built on them."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weylkit.cli import findim_preset
+from weylkit.errors import InvalidFormError
+from weylkit.findim import upper_triangular_algebra
+from weylkit.homology import FDModule, _restricted_action
+from weylkit.linalg_fp import Subspace, rank, solve
+
+PRESETS = ["T2", "T3", "M2", "poly:4", "cyclic:6"]
+
+
+@st.composite
+def rows_and_vector(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    dim = draw(st.integers(1, 6))
+    k = draw(st.integers(0, 5))
+    entry = st.integers(-p, 2 * p)
+    rows = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=k, max_size=k))
+    # a combination of the rows, perturbed or not, so both answers occur
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
+    shift = draw(st.lists(st.sampled_from([0, 0, 0, 1]), min_size=dim, max_size=dim))
+    B = np.array(rows, dtype=np.int64).reshape(k, dim)
+    v = (np.array(coeffs, dtype=np.int64) @ B + np.array(shift)) if k else np.array(shift)
+    return p, dim, B, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_and_vector())
+def test_contains_agrees_with_rank(case):
+    p, dim, B, v = case
+    S = Subspace(B, dim, p)
+    expected = rank(np.vstack([B, v]), p) == rank(B, p)
+    assert S.contains(v) == expected
+    assert S.contains_space(Subspace([v], dim, p)) == expected
+
+
+def naive_closure(vectors, images, dim, p):
+    """Reference fixed-point loop: add the images of every basis vector
+    until the dimension stops growing."""
+    span = Subspace(vectors, dim, p)
+    while True:
+        new = list(span.basis) + [w % p for v in span.basis for w in images(v)]
+        grown = Subspace(new, dim, p)
+        if grown.dim == span.dim:
+            return grown
+        span = grown
+
+
+def start_vectors(A):
+    rng = np.random.default_rng(A.dim * A.p)
+    yield from np.eye(A.dim, dtype=np.int64)
+    yield from rng.integers(0, A.p, size=(3, A.dim))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("preset", PRESETS)
+def test_closure_matches_naive_loop(preset, p):
+    A = findim_preset(preset, p)
+    basis = np.eye(A.dim, dtype=np.int64)
+    left = lambda v: [A.mul(e, v) for e in basis]
+    two_sided = lambda v: left(v) + [A.mul(v, e) for e in basis]
+    for v in start_vectors(A):
+        assert Subspace([v], A.dim, p).closure(A.mult_ops("left")) == naive_closure(
+            [v], left, A.dim, p
+        )
+        assert A.two_sided_ideal([v]) == naive_closure([v], two_sided, A.dim, p)
+        for side in ("left", "right"):
+            M = FDModule.regular(A, side)
+            acts = lambda w: [X @ w for X in M.action]
+            assert Subspace([v], M.dim, p).closure(M.action) == naive_closure(
+                [v], acts, M.dim, p
+            )
+
+
+def test_closure_of_zero_and_whole_space():
+    A = findim_preset("T3", 3)
+    ops = A.mult_ops("left")
+    assert Subspace([], A.dim, 3).closure(ops).is_zero()
+    assert A.two_sided_ideal([A.unit]).dim == A.dim
+
+
+def test_restricted_action_matches_solve():
+    A = upper_triangular_algebra(3, 3)
+    M = FDModule.regular(A)
+    # the left ideal A e_{13} + A e_{23} (columns 3), in a non-echelon basis
+    cols = Subspace(np.eye(A.dim, dtype=np.int64)[[2, 4, 5]], A.dim, 3).closure(M.action)
+    basis = np.array([[1, 2], [1, 1]]) @ cols.basis[:2] % 3
+    basis = np.vstack([basis, cols.basis[2:]])
+    mats = _restricted_action(M.action, basis, 3)
+    for i, b in itertools.product(range(A.dim), range(basis.shape[0])):
+        image = M.action[i] @ basis[b] % 3
+        assert np.array_equal(mats[i, :, b], solve(basis.T, image, 3))
+
+
+def test_restricted_action_rejects_unstable_span():
+    A = upper_triangular_algebra(2, 2)  # basis e11, e12, e22
+    M = FDModule.regular(A)
+    e22 = np.array([[0, 0, 1]], dtype=np.int64)  # e12 * e22 = e12 leaves F e22
+    with pytest.raises(InvalidFormError):
+        _restricted_action(M.action, e22, 2)
+    e11 = np.array([[1, 0, 0]], dtype=np.int64)  # A e11 = F e11
+    assert _restricted_action(M.action, e11, 2).shape == (A.dim, 1, 1)

@@ -33,6 +33,12 @@ def test_degenerate_h_rejected():
         weyl_presentation(2, 1, ((0, 0), (0, 0)))
     with pytest.raises(InvalidFormError):
         validate_symplectic(((1, 1), (1, 1)), 3)
+    # skew with zero diagonal, but of rank 2: only h_12 = -h_21 = 1
+    h = [[0] * 4 for _ in range(4)]
+    h[0][1], h[1][0] = 1, -1
+    for p in (2, 3, 7):
+        with pytest.raises(InvalidFormError, match="degenerate"):
+            validate_symplectic(h, p)
 
 
 def test_weyl_relation_examples():
