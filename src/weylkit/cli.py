@@ -55,6 +55,7 @@ from .localring import (
     jacobson_radical,
     maximal_two_sided_ideals,
     radical_cross_check,
+    semisimple_quotient,
 )
 from .norm import (
     check_norm_symbol_diagram,
@@ -255,8 +256,7 @@ def module_preset(name: str, A: FinDimAlgebra) -> FDModule:
     if name == "zero":
         return FDModule.zero(A)
     if name == "top":
-        rad = jacobson_radical(A)
-        Abar, proj, lift = A.quotient(rad)
+        _, proj, lift = semisimple_quotient(A)
         mats = [
             proj @ A.left_mult(e) @ lift.T % A.p
             for e in np.eye(A.dim, dtype=np.int64)
@@ -462,7 +462,7 @@ def _cmd_localring(config: JobConfig, rep: Report):
         f"fails_at {fiber[1]}" if isinstance(fiber, tuple) else fiber
     )
     if len(maxima) == 1:
-        k0 = adic_comparison(A, maxima[0], R_basis, mR)
+        k0 = adic_comparison(A, maxima[0], mR)
         rep.result["adic_k0"] = k0
     rep.add_check("localring_computed", True, cls)
 

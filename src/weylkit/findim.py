@@ -29,6 +29,8 @@ class FinDimAlgebra:
         self.unit = np.array(unit, dtype=np.int64) % p
         self.name = name
         self._radical = None  # filled in by localring.jacobson_radical
+        self._top = None  # filled in by localring.semisimple_quotient
+        self._idempotents = None  # filled in by localring.primitive_central_idempotents
         self._check_axioms()
         if central_basis is not None:
             self.central_basis = np.atleast_2d(np.array(central_basis, dtype=np.int64)) % p
@@ -63,20 +65,6 @@ class FinDimAlgebra:
 
     def right_mult(self, v) -> np.ndarray:
         return np.einsum("j,ijk->ki", v % self.p, self.table) % self.p
-
-    def power(self, v, e: int) -> np.ndarray:
-        out = self.unit.copy()
-        for _ in range(e):
-            out = self.mul(out, v)
-        return out
-
-    def is_nilpotent_element(self, v) -> bool:
-        x = np.array(v, dtype=np.int64) % self.p
-        for _ in range(self.dim + 1):
-            if not np.any(x):
-                return True
-            x = self.mul(x, v)
-        return False
 
     def elements(self):
         if self.p**self.dim > ENUM_BUDGET:

@@ -15,37 +15,48 @@ import numpy as np
 
 from .errors import TooLargeError, InternalInconsistencyError
 from .findim import ENUM_BUDGET, FinDimAlgebra
-from .linalg_fp import Subspace
+from .linalg_fp import Subspace, nullspace
 
 
 CROSS_CHECK_BUDGET = 1 << 10  # p^d ceiling of the maximal-left-ideal enumeration
 
 
+def _trace_functional(A: FinDimAlgebra, b, i: int) -> np.ndarray:
+    """g_i(b e_k) for every basis vector e_k, where g_i(a) is
+    (Tr(L~_a^{p^i}) mod p^{i+1}) / p^i and L~_a is the left-regular matrix of
+    a with entries lifted to [0, p)."""
+    p, q = A.p, A.p ** (i + 1)
+    prods = (b @ A.table.reshape(A.dim, -1)).reshape(A.dim, A.dim) % p  # row k: b e_k
+    base = np.einsum("mi,ijk->mkj", prods, A.table) % p
+    # entries stay below q <= p * dim, so int64 products cannot overflow
+    power, e = np.broadcast_to(np.eye(A.dim, dtype=np.int64), base.shape), p**i
+    while e:
+        if e & 1:
+            power = power @ base % q
+        base, e = base @ base % q, e >> 1
+    traces = np.trace(power, axis1=1, axis2=2) % q
+    if np.any(traces % p**i):
+        raise InternalInconsistencyError(f"trace not divisible by p^{i}")
+    return traces // p**i
+
+
 def jacobson_radical(A: FinDimAlgebra) -> Subspace:
-    """The largest nilpotent two-sided ideal, as the sum of all nilpotent
-    principal ideals (rad itself is nilpotent by Hopkins, so this exhausts it).
-    Computed once per algebra and stored on it.
+    """rad(A) by Ronyai's trace-functional filtration (Ronyai, JSC 1990;
+    Cohen-Ivanyos-Wales, JPAA 1997): starting from I = A, for each i with
+    p^i <= dim A keep the a in I with g_i(a e_k) = 0 for every basis vector
+    e_k.  Each g_i is linear on the previous I, so each step is one
+    nullspace.  Computed once per algebra and stored on it.
     """
     if A._radical is not None:
         return A._radical
-    if A.p**A.dim > ENUM_BUDGET:
-        raise TooLargeError("radical enumeration budget exceeded")
-    rad = Subspace([], A.dim, A.p)
-    for x in A.elements():
-        if not np.any(x):
-            continue
-        if rad.contains(x):
-            continue
-        if not A.is_nilpotent_element(x):
-            continue
-        ideal = A.two_sided_ideal([x])
-        if A.is_nilpotent_subspace(ideal):
-            rad = rad.add(ideal)
+    rad = Subspace(np.eye(A.dim, dtype=np.int64), A.dim, A.p)
+    i = 0
+    while A.p**i <= A.dim and rad.dim:
+        G = np.array([_trace_functional(A, b, i) for b in rad.basis])
+        rad = Subspace(nullspace(G.T, A.p) @ rad.basis % A.p, A.dim, A.p)
+        i += 1
     # Hopkins: rad^d = 0
-    power = rad
-    for _ in range(A.dim):
-        power = A.subspace_product(power, rad)
-    if not power.is_zero():
+    if not A.is_nilpotent_subspace(rad):
         raise InternalInconsistencyError("computed radical is not nilpotent")
     A._radical = rad
     return rad
@@ -56,13 +67,17 @@ def maximal_left_ideals_brute(A: FinDimAlgebra) -> list[Subspace]:
     only for tiny algebras (p^d <= CROSS_CHECK_BUDGET)."""
     if A.p**A.dim > CROSS_CHECK_BUDGET:
         raise TooLargeError("left-ideal enumeration budget exceeded")
-    left = A.mult_ops("left")
-    cyclic = {}
+    # A x is spanned by the e_i x (the columns of R_x), as A is unital; and
+    # A (u x) = A x whenever A u = A, so the u x of the u found so far are skipped
+    cyclic, seen, units = {}, set(), [np.eye(A.dim, dtype=np.int64)]
     for x in A.elements():
-        if not np.any(x):
+        if not np.any(x) or x.tobytes() in seen:
             continue
-        ideal = Subspace([x], A.dim, A.p).closure(left)
+        ideal = Subspace(A.right_mult(x).T, A.dim, A.p)
         cyclic[ideal.key()] = ideal
+        if ideal.dim == A.dim:
+            units.append(A.left_mult(x))
+        seen.update(y.tobytes() for y in np.array(units) @ x % A.p)
     # close under sums
     ideals = dict(cyclic)
     frontier = list(cyclic.values())
@@ -76,12 +91,7 @@ def maximal_left_ideals_brute(A: FinDimAlgebra) -> list[Subspace]:
                     nxt.append(s)
         frontier = nxt
     proper = [I for I in ideals.values() if I.dim < A.dim]
-    maximal = [
-        I
-        for I in proper
-        if not any(J.dim > I.dim and J.contains_space(I) for J in proper)
-    ]
-    return maximal
+    return [I for I in proper if not any(J.dim > I.dim and J.contains_space(I) for J in proper)]
 
 
 def radical_cross_check(A: FinDimAlgebra) -> bool:
@@ -106,8 +116,6 @@ def _central_idempotents(Abar: FinDimAlgebra):
         block = (Abar.table[:, j, :] - Abar.table[j, :, :]) % p  # i x k
         cons.append(block.T)  # k x i
     M = np.vstack(cons) % p
-    from .linalg_fp import nullspace
-
     center = nullspace(M, p)  # rows: central elements basis
     cdim = center.shape[0]
     if p**cdim > ENUM_BUDGET:
@@ -123,31 +131,37 @@ def _central_idempotents(Abar: FinDimAlgebra):
 
 
 def primitive_central_idempotents(Abar: FinDimAlgebra):
+    """The minimal nonzero central idempotents, computed once per algebra and
+    stored on it."""
+    if Abar._idempotents is not None:
+        return Abar._idempotents
     idems = _central_idempotents(Abar)
 
-    def leq(e, f):
-        return np.all(Abar.mul(e, f) == e) and np.all(Abar.mul(f, e) == e)
+    def below(f, e):
+        leq = np.all(Abar.mul(e, f) == f) and np.all(Abar.mul(f, e) == f)
+        return leq and not np.all(f == e)
 
-    prims = []
-    for e in idems:
-        strictly_below = [f for f in idems if leq(f, e) and not np.all(f == e)]
-        if not strictly_below:
-            prims.append(e)
-    return prims
+    Abar._idempotents = [e for e in idems if not any(below(f, e) for f in idems)]
+    return Abar._idempotents
+
+
+def semisimple_quotient(A: FinDimAlgebra):
+    """(A/rad, projection, lift), computed once per algebra and stored on it
+    beside the radical."""
+    if A._top is None:
+        A._top = A.quotient(jacobson_radical(A))
+    return A._top
 
 
 def maximal_two_sided_ideals(A: FinDimAlgebra) -> list[Subspace]:
     """Preimages of the block complements of the semisimple quotient A/rad."""
     rad = jacobson_radical(A)
-    Abar, proj, lift = A.quotient(rad)
-    prims = primitive_central_idempotents(Abar)
+    Abar, _, lift = semisimple_quotient(A)
     ideals = []
-    for e in prims:
+    for e in primitive_central_idempotents(Abar):
         # (1 - e) Abar, pulled back and summed with rad
-        one_minus = (Abar.unit - e) % A.p
-        vecs = [Abar.mul(one_minus, v) for v in np.eye(Abar.dim, dtype=np.int64)]
-        up = [(np.array(v) @ lift) % A.p for v in vecs]
-        ideals.append(Subspace(list(rad.basis) + up, A.dim, A.p))
+        up = Abar.left_mult(Abar.unit - e).T @ lift % A.p
+        ideals.append(Subspace(np.vstack([rad.basis, up]), A.dim, A.p))
     return ideals
 
 
@@ -160,9 +174,8 @@ def classify_local(A: FinDimAlgebra) -> str:
     rad = jacobson_radical(A)
     if m != rad:
         return "demi"
-    Abar, _, _ = A.quotient(rad)
-    blocks = primitive_central_idempotents(Abar)
-    if len(blocks) != 1:
+    Abar, _, _ = semisimple_quotient(A)
+    if len(primitive_central_idempotents(Abar)) != 1:
         return "NAK"
     return "quasi"
 
@@ -172,19 +185,15 @@ def idempotent_ideal_check(I: Subspace, A: FinDimAlgebra) -> bool:
     return A.subspace_product(I, I) == I
 
 
-def extend_to_algebra_ideal(A: FinDimAlgebra, R_basis, mR: Subspace) -> Subspace:
+def extend_to_algebra_ideal(A: FinDimAlgebra, mR: Subspace) -> Subspace:
     """The ideal m_R A spanned by r*a for r in m_R and a in A."""
-    vecs = []
-    for r in mR.basis:
-        for j in range(A.dim):
-            vecs.append(A.mul(r, np.eye(A.dim, dtype=np.int64)[j]))
-    return Subspace(vecs, A.dim, A.p)
+    return A.subspace_product(mR, Subspace(np.eye(A.dim, dtype=np.int64), A.dim, A.p))
 
 
-def adic_comparison(A: FinDimAlgebra, m: Subspace, R_basis, mR: Subspace):
+def adic_comparison(A: FinDimAlgebra, m: Subspace, mR: Subspace):
     """Least k0 with m^{k0} contained in m_R A, or None if the powers
     stabilize without inclusion."""
-    J = extend_to_algebra_ideal(A, R_basis, mR)
+    J = extend_to_algebra_ideal(A, mR)
     power = m
     for k in range(1, A.dim + 3):
         if J.contains_space(power):

@@ -216,7 +216,6 @@ def test_criterion_7_local_rings():
 
     A = truncated_polynomial_algebra(2, 4)
     e = np.eye(4, dtype=np.int64)
-    R_basis = [e[0], e[2]]
     mR = Subspace([e[2]], 4, 2)
     m = maximal_two_sided_ideals(A)[0]
     # oracle: m^k = (x^k), m_R A = (x^2, x^3); least k with inclusion is 2
@@ -226,7 +225,7 @@ def test_criterion_7_local_rings():
         for k in range(1, 5)
         if mRA.contains_space(Subspace([e[j] for j in range(k, 4)], 4, 2))
     )
-    ok &= adic_comparison(A, m, R_basis, mR) == oracle == 2
+    ok &= adic_comparison(A, m, mR) == oracle == 2
     verdict(7, "local rings", ok, t0, 30)
 
 

@@ -144,6 +144,15 @@ def test_run_localring_and_radical():
     assert code == 0 and rep.result["radical_dim"] == 2
 
 
+def test_radical_beyond_enumeration_range():
+    # 7^6 elements: the radical needs no enumeration
+    rep, code = run(cfg("radical", p=7, params={"preset": "T3"}))
+    assert code == 0 and rep.result["radical_dim"] == 3
+    # the top module needs A/rad but no enumeration of its 7^6 central elements
+    rep, code = run(cfg("grade", p=7, params={"preset": "cyclic:6", "module": "top"}))
+    assert code == 0
+
+
 def test_run_homlab_commands():
     rep, code = run(cfg("ext", params={"preset": "poly:2", "module": "top", "i": 0}))
     assert code == 0 and rep.result["ext_dim"] == 1

@@ -1,8 +1,11 @@
 """Radicals, maximal ideals, local-ring taxonomy, adic and fiber probes."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from weylkit.cli import findim_preset
 from weylkit.errors import InvalidFormError
 from weylkit.findim import (
     FinDimAlgebra,
@@ -12,7 +15,7 @@ from weylkit.findim import (
     truncated_polynomial_algebra,
     upper_triangular_algebra,
 )
-from weylkit.linalg_fp import Subspace
+from weylkit.linalg_fp import Subspace, rref
 from weylkit.localring import (
     adic_comparison,
     classify_local,
@@ -20,6 +23,7 @@ from weylkit.localring import (
     idempotent_ideal_check,
     ideals_over,
     jacobson_radical,
+    maximal_left_ideals_brute,
     maximal_two_sided_ideals,
     radical_cross_check,
 )
@@ -55,6 +59,107 @@ def test_radical_examples():
     assert rad2.dim == 1 and rad2.contains(unit_vec(2, 1))
 
 
+def is_nilpotent_element(A, v) -> bool:
+    x = np.array(v, dtype=np.int64) % A.p
+    for _ in range(A.dim + 1):
+        if not np.any(x):
+            return True
+        x = A.mul(x, v)
+    return False
+
+
+def radical_by_enumeration(A):
+    """Oracle: the sum of the nilpotent principal two-sided ideals, found by
+    enumerating all p^d elements (rad itself is nilpotent by Hopkins, so
+    this exhausts it)."""
+    rad = Subspace([], A.dim, A.p)
+    for x in A.elements():
+        if not np.any(x) or rad.contains(x) or not is_nilpotent_element(A, x):
+            continue
+        ideal = A.two_sided_ideal([x])
+        if A.is_nilpotent_subspace(ideal):
+            rad = rad.add(ideal)
+    return rad
+
+
+PRESETS = ["T2", "T3", "M2", "FxF"] + [f"poly:{k}" for k in range(2, 9)] + [
+    f"cyclic:{k}" for k in range(2, 11)
+]
+
+
+def _oracle_cases():
+    for p in (2, 3, 5, 7):
+        for name in PRESETS:
+            A = findim_preset(name, p)
+            if p**A.dim <= 4096:
+                yield pytest.param(A, id=f"{name}@{p}")
+    for (a, b), p in itertools.product((("T2", "poly:2"), ("M2", "cyclic:2"), ("FxF", "T2")), (2, 3)):
+        yield pytest.param(product_algebra(findim_preset(a, p), findim_preset(b, p)), id=f"{a}x{b}@{p}")
+    for name, p in (("T3", 2), ("T3", 3), ("poly:4", 2)):
+        yield pytest.param(findim_preset(name, p).opposite(), id=f"{name}^op@{p}")
+    T2xM2 = product_algebra(upper_triangular_algebra(2, 2), full_matrix_algebra(2, 2))
+    yield pytest.param(T2xM2.opposite(), id="(T2xM2)^op@2")
+
+
+@pytest.mark.parametrize("A", _oracle_cases())
+def test_radical_matches_enumeration(A):
+    assert jacobson_radical(A) == radical_by_enumeration(A)
+
+
+def change_of_basis(A, rng):
+    """A on the basis f_a = sum_i P[a, i] e_i for a random invertible P, and
+    Q = P^{-1}, which takes e-coordinates (rows) to f-coordinates."""
+    d, p = A.dim, A.p
+    while True:
+        P = rng.integers(0, p, size=(d, d))
+        r, pivots = rref(np.hstack([P, np.eye(d, dtype=np.int64)]), p)
+        if pivots[-1] < d:  # the left block has full rank
+            break
+    Q = r[:, d:]
+    table = np.einsum("ai,bj,ijk,kl->abl", P, P, A.table, Q)
+    return FinDimAlgebra(table, A.unit @ Q, p), Q
+
+
+@pytest.mark.parametrize(
+    "name,p", [("T3", 3), ("M2", 3), ("poly:5", 2), ("cyclic:6", 2), ("cyclic:6", 3), ("T3", 7)]
+)
+def test_radical_invariant_under_change_of_basis(name, p):
+    rng = np.random.default_rng(20)
+    A = findim_preset(name, p)
+    rad = jacobson_radical(A)
+    for _ in range(3):
+        B, Q = change_of_basis(A, rng)
+        assert jacobson_radical(B) == Subspace(rad.basis @ Q % p, A.dim, p)
+
+
+def maximal_left_ideals_by_closure(A):
+    """Oracle: the keys of the maximal left ideals, from every cyclic left
+    ideal found as the closure of span{x} under left multiplication."""
+    left = A.mult_ops("left")
+    cyclic = {}
+    for x in A.elements():
+        if np.any(x):
+            ideal = Subspace([x], A.dim, A.p).closure(left)
+            cyclic[ideal.key()] = ideal
+    ideals, frontier = dict(cyclic), list(cyclic.values())
+    while frontier:
+        sums = [I.add(J) for I in frontier for J in cyclic.values()]
+        frontier = [S for S in sums if S.key() not in ideals]
+        ideals.update((S.key(), S) for S in frontier)
+    proper = [I for I in ideals.values() if I.dim < A.dim]
+    return {I.key() for I in proper if not any(J.dim > I.dim and J.contains_space(I) for J in proper)}
+
+
+@pytest.mark.parametrize(
+    "name,p",
+    [("T2", 2), ("T3", 2), ("M2", 2), ("M2", 3), ("FxF", 3), ("poly:4", 3), ("cyclic:6", 2),
+     ("cyclic:6", 3), ("cyclic:10", 2)],
+)
+def test_maximal_left_ideals_match_closure_enumeration(name, p):
+    A = findim_preset(name, p)
+    assert {I.key() for I in maximal_left_ideals_brute(A)} == maximal_left_ideals_by_closure(A)
+
+
 def test_radical_cross_check_small():
     for A in (
         full_matrix_algebra(2, 2),
@@ -62,6 +167,7 @@ def test_radical_cross_check_small():
         truncated_polynomial_algebra(2, 3),
         truncated_polynomial_algebra(3, 2),
         cyclic_group_algebra(2, 2),
+        cyclic_group_algebra(3, 6),
     ):
         assert radical_cross_check(A)
 
@@ -163,17 +269,16 @@ def poly4_with_square_subring():
 
 
 def test_adic_comparison_poly4():
-    A, R_basis, mR = poly4_with_square_subring()
+    A, _, mR = poly4_with_square_subring()
     m = maximal_two_sided_ideals(A)[0]
-    assert adic_comparison(A, m, R_basis, mR) == 2
+    assert adic_comparison(A, m, mR) == 2
 
 
 def test_adic_comparison_zero_maximal_ideal():
     A = full_matrix_algebra(2, 2)
     m = maximal_two_sided_ideals(A)[0]  # zero ideal
-    R_basis = [A.unit]
     mR = Subspace([], A.dim, 2)
-    assert adic_comparison(A, m, R_basis, mR) == 1
+    assert adic_comparison(A, m, mR) == 1
 
 
 def test_adic_comparison_idempotent_ideal_never_included():
@@ -182,20 +287,16 @@ def test_adic_comparison_idempotent_ideal_never_included():
     M1 = next(
         M for M in maximal_two_sided_ideals(T2) if idempotent_ideal_check(M, T2)
     )
-    R_basis = [T2.unit]
     mR = Subspace([], 3, 2)
-    assert adic_comparison(T2, M1, R_basis, mR) is None
+    assert adic_comparison(T2, M1, mR) is None
 
 
 def test_quasi_implies_adic_success():
-    for A, R_basis, mR in (
-        poly4_with_square_subring(),
-        (truncated_polynomial_algebra(2, 3), [np.eye(3, dtype=np.int64)[0]],
-         Subspace([], 3, 2)),
-    ):
+    A4, _, mR4 = poly4_with_square_subring()
+    for A, mR in ((A4, mR4), (truncated_polynomial_algebra(2, 3), Subspace([], 3, 2))):
         if classify_local(A) == "quasi":
             m = maximal_two_sided_ideals(A)[0]
-            assert adic_comparison(A, m, R_basis, mR) is not None
+            assert adic_comparison(A, m, mR) is not None
 
 
 # -- fiber decomposability ----------------------------------------------------
