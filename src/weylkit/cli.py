@@ -12,7 +12,6 @@ exceeded.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import random
 import sys
@@ -24,7 +23,6 @@ from . import __version__
 from .elements import format_element, parse_element
 from .errors import (
     IncompleteSearchError,
-    InvalidFormError,
     TooLargeError,
     WeylkitError,
 )
@@ -78,7 +76,6 @@ from .weylalg import (
     boundary_chart_presentation,
     center_coordinates,
     chart_embedding_check,
-    standard_h,
     validate_symplectic,
     weyl_presentation,
 )
@@ -257,11 +254,7 @@ def module_preset(name: str, A: FinDimAlgebra) -> FDModule:
         return FDModule.zero(A)
     if name == "top":
         _, proj, lift = semisimple_quotient(A)
-        mats = [
-            proj @ A.left_mult(e) @ lift.T % A.p
-            for e in np.eye(A.dim, dtype=np.int64)
-        ]
-        return FDModule(A, mats, "left")
+        return FDModule(A, proj @ A.mult_ops("left") @ lift.T % A.p, "left")
     raise ConfigError(f"unknown module preset {name!r}")
 
 

@@ -34,11 +34,9 @@ class FinDimAlgebra:
         self._check_axioms()
         if central_basis is not None:
             self.central_basis = np.atleast_2d(np.array(central_basis, dtype=np.int64)) % p
-            for r in self.central_basis:
-                for j in range(self.dim):
-                    ej = np.eye(self.dim, dtype=np.int64)[j]
-                    if np.any((self.mul(r, ej) - self.mul(ej, r)) % p):
-                        raise InvalidFormError("designated subalgebra is not central")
+            commutators = self.mult_ops("left") - self.mult_ops("right")
+            if np.any(np.tensordot(self.central_basis, commutators, 1) % p):
+                raise InvalidFormError("designated subalgebra is not central")
         else:
             self.central_basis = None
 
@@ -49,12 +47,9 @@ class FinDimAlgebra:
         rhs = np.einsum("jkl,ilm->ijkm", t, t) % p
         if np.any(lhs != rhs):
             raise InvalidFormError("structure constants are not associative")
-        for j in range(self.dim):
-            ej = np.eye(self.dim, dtype=np.int64)[j]
-            if np.any((self.mul(self.unit, ej) - ej) % p) or np.any(
-                (self.mul(ej, self.unit) - ej) % p
-            ):
-                raise InvalidFormError("unit laws fail")
+        eye = np.eye(self.dim, dtype=np.int64)
+        if np.any(self.left_mult(self.unit) != eye) or np.any(self.right_mult(self.unit) != eye):
+            raise InvalidFormError("unit laws fail")
 
     def mul(self, u, v) -> np.ndarray:
         return np.einsum("i,j,ijk->k", u % self.p, v % self.p, self.table) % self.p
@@ -112,34 +107,17 @@ class FinDimAlgebra:
 
     def quotient(self, I: Subspace):
         """Quotient algebra A/I for a two-sided ideal; returns
-        (algebra, projection matrix, lift matrix)."""
-        from .linalg_fp import rref
+        (algebra, projection matrix, lift matrix).
 
+        A/I has the basis e_c for the non-pivot columns c of I's RREF: each
+        e_j minus its residue against I lies in I, and the residues vanish on
+        the pivot columns."""
         p = self.p
-        full = np.vstack([I.basis, np.eye(self.dim, dtype=np.int64)])
-        r, pivots = rref(full, p)
-        # complement: coordinate vectors whose pivot falls outside I
-        _, ipiv = rref(I.basis, p) if I.dim else (None, [])
-        comp = [c for c in pivots if c not in ipiv]
+        comp = [c for c in range(self.dim) if c not in I.pivots]
         lift = np.eye(self.dim, dtype=np.int64)[comp]  # q x d rows
-        q = len(comp)
-        # projection: write e_j = i + sum_c lambda_c e_c with i in I
-        proj = np.zeros((q, self.dim), dtype=np.int64)
-        span = np.vstack([I.basis, lift]) if I.dim else lift
-        from .linalg_fp import solve
-
-        for j in range(self.dim):
-            ej = np.eye(self.dim, dtype=np.int64)[j]
-            sol = solve(span.T, ej, p)
-            if sol is None:
-                raise InvalidFormError("not an ideal-complement decomposition")
-            proj[:, j] = sol[I.dim :]
-        table = np.zeros((q, q, q), dtype=np.int64)
-        for a in range(q):
-            for b in range(q):
-                table[a, b] = proj @ self.mul(lift[a], lift[b]) % p
-        unit = proj @ self.unit % p
-        quo = FinDimAlgebra(table, unit, p, name=f"{self.name}/I")
+        proj = I._residues(np.eye(self.dim, dtype=np.int64))[:, comp].T  # q x d
+        table = self.table[np.ix_(comp, comp)] @ proj.T % p
+        quo = FinDimAlgebra(table, proj @ self.unit % p, p, name=f"{self.name}/I")
         return quo, proj, lift
 
     def __repr__(self):

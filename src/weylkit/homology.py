@@ -41,12 +41,10 @@ class FDModule:
     def _validate(self):
         p = self.p
         t = self.A.table if self.side == "left" else np.transpose(self.A.table, (1, 0, 2))
-        for i in range(self.A.dim):
-            for j in range(self.A.dim):
-                lhs = self.action[i] @ self.action[j] % p
-                rhs = np.einsum("k,kab->ab", t[i, j], self.action) % p
-                if np.any(lhs != rhs):
-                    raise InvalidFormError("action does not respect the product")
+        # e_i e_j = sum_k t[i, j, k] e_k must act as action[i] @ action[j]
+        lhs = self.action[:, None] @ self.action[None, :] % p
+        if np.any(lhs != np.einsum("ijk,kab->ijab", t, self.action) % p):
+            raise InvalidFormError("action does not respect the product")
         unit_act = np.einsum("i,iab->ab", self.A.unit, self.action) % p
         if self.dim and np.any(unit_act != np.eye(self.dim, dtype=np.int64)):
             raise InvalidFormError("unit does not act as identity")
@@ -233,16 +231,13 @@ class ExtResult:
 
 
 def _dual_matrix(A: FinDimAlgebra, gens: np.ndarray, r_prev: int) -> np.ndarray:
-    """Hom(P_{i}, A) -> Hom(P_{i+1}, A):  c |-> (sum_j g_{t,j} * c_j)_t."""
-    p = A.p
+    """Hom(P_{i}, A) -> Hom(P_{i+1}, A):  c |-> (sum_j g_{t,j} * c_j)_t, so
+    block (t, j) is the left multiplication by g_{t,j}."""
     d = A.dim
     r_next = gens.shape[0]
-    out = np.zeros((r_next * d, r_prev * d), dtype=np.int64)
-    for t in range(r_next):
-        for j in range(r_prev):
-            comp = gens[t, j * d : (j + 1) * d]
-            out[t * d : (t + 1) * d, j * d : (j + 1) * d] = A.left_mult(comp)
-    return out % p
+    g = gens.reshape(r_next, r_prev, d)
+    blocks = np.einsum("tji,ikl->tkjl", g, A.mult_ops("left"))
+    return blocks.reshape(r_next * d, r_prev * d) % A.p
 
 
 def ext_groups(M: FDModule, A: FinDimAlgebra, i: int, resolution: Resolution | None = None) -> ExtResult:

@@ -9,12 +9,10 @@ the nilpotent radical), so the classifier returns either "not_demi" or
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .errors import TooLargeError, InternalInconsistencyError
-from .findim import ENUM_BUDGET, FinDimAlgebra
+from .findim import FinDimAlgebra
 from .linalg_fp import Subspace, nullspace
 
 
@@ -104,44 +102,48 @@ def radical_cross_check(A: FinDimAlgebra) -> bool:
     return inter == rad
 
 
-def _central_idempotents(Abar: FinDimAlgebra):
-    """All central idempotents of a (semisimple) algebra, by exhausting the
-    center."""
-    p = Abar.p
-    d = Abar.dim
-    # constraint matrix: z central <=> z e_j - e_j z = 0 for every basis e_j
-    cons = []
-    for j in range(d):
-        # (z e_j)_k = sum_i z_i table[i, j, k]; (e_j z)_k = sum_i z_i table[j, i, k]
-        block = (Abar.table[:, j, :] - Abar.table[j, :, :]) % p  # i x k
-        cons.append(block.T)  # k x i
-    M = np.vstack(cons) % p
-    center = nullspace(M, p)  # rows: central elements basis
-    cdim = center.shape[0]
-    if p**cdim > ENUM_BUDGET:
-        raise TooLargeError("center enumeration budget exceeded")
-    idems = []
-    for coeffs in itertools.product(range(p), repeat=cdim):
-        z = (np.array(coeffs, dtype=np.int64) @ center) % p
-        if not np.any(z):
-            continue
-        if np.all(Abar.mul(z, z) == z % p):
-            idems.append(z % p)
-    return idems
-
-
 def primitive_central_idempotents(Abar: FinDimAlgebra):
-    """The minimal nonzero central idempotents, computed once per algebra and
-    stored on it."""
+    """The minimal nonzero central idempotents of a semisimple algebra, by
+    splitting its center (Ronyai, JSC 1990; Eberly-Giesbrecht, JSC 2000).
+    Computed once per algebra and stored on it.
+
+    The center Z is a product of finite fields, and z |-> z^p is F_p-linear
+    on it, so B = {z in Z : z^p = z} is one nullspace: the F_p-span of the
+    primitive central idempotents e_k.  For b = sum_k c_k e_k in B and c in
+    F_p, 1 - (b - c)^(p-1) is the sum of the e_k with c_k = c, so refining
+    [1] by these idempotents over a basis of B leaves exactly the e_k.
+    """
     if Abar._idempotents is not None:
         return Abar._idempotents
-    idems = _central_idempotents(Abar)
+    p, d, unit = Abar.p, Abar.dim, Abar.unit
 
-    def below(f, e):
-        leq = np.all(Abar.mul(e, f) == f) and np.all(Abar.mul(f, e) == f)
-        return leq and not np.all(f == e)
+    def products(X, Y):  # row a: X[a] * Y[a]
+        return np.einsum("ai,aj,ijk->ak", X, Y, Abar.table) % p
 
-    Abar._idempotents = [e for e in idems if not any(below(f, e) for f in idems)]
+    commutators = (Abar.mult_ops("left") - Abar.mult_ops("right")).reshape(d, -1)
+    center = nullspace(commutators.T, p)  # rows: a basis of Z
+    powers = center
+    for _ in range(p - 1):
+        powers = products(powers, center)
+    B = nullspace((powers - center).T, p) @ center % p
+    idems = unit[None, :]
+    for b in B:
+        shifted = (b - np.outer(range(p), unit)) % p  # row c: b - c
+        powers = np.tile(unit, (p, 1))
+        for _ in range(p - 1):
+            powers = products(powers, shifted)
+        splits = (unit - powers) % p  # row c: 1 - (b - c)^(p-1)
+        refined = np.einsum("ei,cj,ijk->eck", idems, splits, Abar.table).reshape(-1, d) % p
+        idems = refined[np.any(refined, axis=1)]
+    if len(idems) != len(B):
+        raise InternalInconsistencyError(
+            f"center splitting found {len(idems)} idempotents, dim B = {len(B)}"
+        )
+    # a fixed order, lexicographic in the coordinates on Z's nullspace basis:
+    # its row k is 1 at the k-th free column and 0 after it, so e has
+    # coordinates e[free]
+    free = [np.flatnonzero(z)[-1] for z in center]
+    Abar._idempotents = sorted(idems, key=lambda e: tuple(e[free]))
     return Abar._idempotents
 
 

@@ -52,36 +52,10 @@ def left_mult_matrix(s: NCPoly, A: WeylAlgebra) -> list[list[CommPoly]]:
 
 
 def det_poly(M: list[list[CommPoly]]) -> CommPoly:
-    """Exact determinant by fraction-free Bareiss elimination.
-
-    Falls back to expansion by minors for very small matrices (also used as
-    an independent oracle in the tests).
-    """
-    size = len(M)
-    if size == 0:
+    """Exact determinant by fraction-free Bareiss elimination."""
+    if not M:
         raise InternalInconsistencyError("empty matrix")
     proto = M[0][0]
-    if size <= 3:
-        return _det_cofactor(M)
-    return _det_bareiss(M, proto)
-
-
-def _det_cofactor(M) -> CommPoly:
-    size = len(M)
-    proto = M[0][0]
-    if size == 1:
-        return M[0][0]
-    total = CommPoly.zero(proto.p, proto.nvars, proto.family)
-    for j in range(size):
-        if M[0][j].is_zero():
-            continue
-        minor = [[M[r][c] for c in range(size) if c != j] for r in range(1, size)]
-        term = M[0][j] * _det_cofactor(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
-def _det_bareiss(M, proto) -> CommPoly:
     p, nv, fam = proto.p, proto.nvars, proto.family
     size = len(M)
     m = [row[:] for row in M]

@@ -1,0 +1,22 @@
+"""Run ``python -m weylkit`` in a child process that imports this checkout's
+``src/``, whether or not the package is installed or on PYTHONPATH."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def run_weylkit(config: str) -> subprocess.CompletedProcess:
+    """Run the CLI on the JSON config text, read from stdin."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "weylkit", "-"],
+        input=config,
+        capture_output=True,
+        text=True,
+        env=env,
+    )

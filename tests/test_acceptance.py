@@ -9,12 +9,11 @@ import itertools
 import json
 import math
 import random
-import subprocess
-import sys
 import time
 
 import numpy as np
 
+from child_process import run_weylkit
 from weylkit.commpoly import CommPoly
 from weylkit.findim import (
     full_matrix_algebra,
@@ -271,12 +270,7 @@ def test_criterion_9_reproducibility():
     )
     outs = []
     for _ in range(2):
-        proc = subprocess.run(
-            [sys.executable, "-m", "weylkit", "-"],
-            input=config,
-            capture_output=True,
-            text=True,
-        )
+        proc = run_weylkit(config)
         outs.append((proc.returncode, proc.stdout))
     ok = outs[0] == outs[1] and outs[0][0] == 0 and outs[0][1].strip()
     verdict(9, "reproducibility", bool(ok), t0, 120)

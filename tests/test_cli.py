@@ -2,11 +2,10 @@
 
 import json
 import pathlib
-import subprocess
-import sys
 
 import pytest
 
+from child_process import run_weylkit
 from weylkit.cli import ConfigError, parse_config, run
 from weylkit.elements import parse_element
 from weylkit.errors import InvalidFormError
@@ -16,14 +15,8 @@ from weylkit.weylalg import localized_weyl, weyl_presentation
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-def run_cli(config: dict, output=None):
-    args = [sys.executable, "-m", "weylkit", "-"]
-    if output:
-        args += ["--output", output]
-    proc = subprocess.run(
-        args, input=json.dumps(config), capture_output=True, text=True
-    )
-    return proc
+def run_cli(config: dict):
+    return run_weylkit(json.dumps(config))
 
 
 # -- element parser -----------------------------------------------------------
@@ -151,6 +144,17 @@ def test_radical_beyond_enumeration_range():
     # the top module needs A/rad but no enumeration of its 7^6 central elements
     rep, code = run(cfg("grade", p=7, params={"preset": "cyclic:6", "module": "top"}))
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "preset,p,count", [("cyclic:8", 5, 6), ("cyclic:12", 5, 8), ("cyclic:6", 7, 6), ("cyclic:10", 7, 4)]
+)
+def test_localring_large_center(preset, p, count):
+    # F_p[C_k] / rad is F_p[x]/(x^k' - 1) for the p-free part k' of k, so its
+    # maximal ideals are the irreducible factors of x^k' - 1 over F_p; the
+    # center of A/rad is too large to enumerate (p^(dim center) > 2^16)
+    rep, code = run(cfg("localring", p=p, params={"preset": preset}))
+    assert code == 0 and rep.result["num_maximal_ideals"] == count
 
 
 def test_run_homlab_commands():

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylkit.cli import findim_preset
 from weylkit.errors import InvalidFormError
@@ -15,7 +17,7 @@ from weylkit.findim import (
     truncated_polynomial_algebra,
     upper_triangular_algebra,
 )
-from weylkit.linalg_fp import Subspace, rref
+from weylkit.linalg_fp import Subspace, nullspace, rref
 from weylkit.localring import (
     adic_comparison,
     classify_local,
@@ -25,7 +27,9 @@ from weylkit.localring import (
     jacobson_radical,
     maximal_left_ideals_brute,
     maximal_two_sided_ideals,
+    primitive_central_idempotents,
     radical_cross_check,
+    semisimple_quotient,
 )
 
 
@@ -218,6 +222,81 @@ def test_maximal_ideals_simple_and_product():
         truncated_polynomial_algebra(2, 1), truncated_polynomial_algebra(2, 1)
     )
     assert len(maximal_two_sided_ideals(FF)) == 2
+
+
+# -- A/rad and its primitive central idempotents ------------------------------
+
+
+def center_basis(A):
+    """Rows spanning the center: z e_j - e_j z = 0 for every basis vector e_j."""
+    cons = [((A.table[:, j, :] - A.table[j, :, :]) % A.p).T for j in range(A.dim)]
+    return nullspace(np.vstack(cons), A.p)
+
+
+def central_idempotents_by_enumeration(A):
+    """Oracle: the minimal nonzero central idempotents, found by enumerating
+    the center in the order of the coordinates on its nullspace basis."""
+    center = center_basis(A)
+    idems = []
+    for coeffs in itertools.product(range(A.p), repeat=center.shape[0]):
+        z = np.array(coeffs, dtype=np.int64) @ center % A.p
+        if np.any(z) and np.all(A.mul(z, z) == z):
+            idems.append(z)
+
+    def below(f, e):
+        return np.all(A.mul(e, f) == f) and np.all(A.mul(f, e) == f) and np.any(f != e)
+
+    return [e for e in idems if not any(below(f, e) for f in idems)]
+
+
+def _center_cases():
+    for p in (2, 3, 5, 7):
+        for name in ["poly:1", "cyclic:1"] + PRESETS + ["cyclic:11", "cyclic:12"]:
+            A = findim_preset(name, p)
+            if p ** center_basis(semisimple_quotient(A)[0]).shape[0] <= 4096:
+                yield pytest.param(A, id=f"{name}@{p}")
+    for (a, b), p in itertools.product((("T2", "poly:2"), ("M2", "cyclic:2"), ("FxF", "T2")), (2, 3, 5)):
+        yield pytest.param(product_algebra(findim_preset(a, p), findim_preset(b, p)), id=f"{a}x{b}@{p}")
+    for name, p in (("T3", 2), ("T3", 5), ("cyclic:6", 3), ("FxF", 7)):
+        yield pytest.param(findim_preset(name, p).opposite(), id=f"{name}^op@{p}")
+
+
+@pytest.mark.parametrize("A", _center_cases())
+def test_central_idempotents_match_enumeration(A):
+    Abar = semisimple_quotient(A)[0]
+    got = primitive_central_idempotents(Abar)
+    want = central_idempotents_by_enumeration(Abar)
+    assert len(got) == len(want)
+    assert all(np.array_equal(e, f) for e, f in zip(got, want))
+
+
+@pytest.mark.parametrize("name,p", [("cyclic:8", 5), ("cyclic:12", 5), ("cyclic:6", 7), ("cyclic:12", 7)])
+def test_central_idempotents_beyond_enumeration(name, p):
+    # p^(dim center) > 2^16: orthogonal central idempotents summing to 1
+    Abar = semisimple_quotient(findim_preset(name, p))[0]
+    idems = primitive_central_idempotents(Abar)
+    assert np.array_equal(sum(idems) % p, Abar.unit)
+    for e, f in itertools.product(idems, repeat=2):
+        assert np.array_equal(Abar.mul(e, f), e if e is f else 0 * e)
+    commutators = Abar.mult_ops("left") - Abar.mult_ops("right")
+    assert not np.any(np.tensordot(np.array(idems), commutators, 1) % p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["T2", "T3", "M2", "FxF", "poly:4", "cyclic:4", "cyclic:6"]),
+    p=st.sampled_from([2, 3, 5, 7]),
+    data=st.data(),
+)
+def test_quotient_projection_laws(name, p, data):
+    A = findim_preset(name, p)
+    vector = st.lists(st.integers(0, p - 1), min_size=A.dim, max_size=A.dim).map(np.array)
+    a, b = data.draw(vector), data.draw(vector)
+    for I in [jacobson_radical(A)] + maximal_two_sided_ideals(A):
+        Q, proj, lift = A.quotient(I)
+        assert np.array_equal(proj @ lift.T % p, np.eye(Q.dim, dtype=np.int64))
+        assert not np.any(proj @ I.basis.T % p)
+        assert np.array_equal(proj @ A.mul(a, b) % p, Q.mul(proj @ a, proj @ b))
 
 
 # -- classification -----------------------------------------------------------
