@@ -118,14 +118,6 @@ class CommPoly:
         m = max(self.terms, key=lambda m: (sum(m), m))
         return m, self.terms[m]
 
-    def is_homogeneous(self, d=None):
-        degs = {sum(m) for m in self.terms}
-        if not degs:
-            return True
-        if d is None:
-            return len(degs) == 1
-        return degs == {d}
-
     def substitute_frobenius(self, power=1):
         """Replace each variable by its p^power-th power (x_i -> t_i^{p^power})
         and retag to the t-family."""

@@ -6,7 +6,8 @@ class WeylkitError(Exception):
 
 
 class MalformedPresentationError(WeylkitError):
-    """Rewriting does not terminate, or a relation violates the degree guard."""
+    """A presentation is built from inconsistent data: a bad relation pair or
+    modulus, a relation that violates the degree guard, or a bad monomial."""
 
 
 class FiltrationError(WeylkitError):
@@ -26,7 +27,7 @@ class InternalInconsistencyError(WeylkitError):
 
 
 class TooLargeError(UnsupportedError):
-    """An enumeration budget would be exceeded."""
+    """An enumeration or rewriting budget would be exceeded."""
 
 
 class IncompleteSearchError(WeylkitError):

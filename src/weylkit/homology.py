@@ -226,9 +226,6 @@ class ExtResult:
     action: np.ndarray
     reps: np.ndarray  # rows: cocycle representatives in F_p^{r_i * d}
 
-    def as_right_module(self, A: FinDimAlgebra) -> FDModule:
-        return FDModule(A.opposite(), self.action, "left")
-
 
 def _dual_matrix(A: FinDimAlgebra, gens: np.ndarray, r_prev: int) -> np.ndarray:
     """Hom(P_{i}, A) -> Hom(P_{i+1}, A):  c |-> (sum_j g_{t,j} * c_j)_t, so

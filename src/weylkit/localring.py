@@ -76,8 +76,9 @@ def maximal_left_ideals_brute(A: FinDimAlgebra) -> list[Subspace]:
         if ideal.dim == A.dim:
             units.append(A.left_mult(x))
         seen.update(y.tobytes() for y in np.array(units) @ x % A.p)
-    # close under sums
-    ideals = dict(cyclic)
+    # close under sums; the zero ideal is the one maximal left ideal of a field
+    zero = Subspace([], A.dim, A.p)
+    ideals = {zero.key(): zero, **cyclic}
     frontier = list(cyclic.values())
     while frontier:
         nxt = []

@@ -12,8 +12,14 @@ generator may be marked invertible, in which case its exponent may be
 negative; the commutation rule for the inverse is derived on the fly and
 requires the relevant relations to be scalar.
 
-All values are immutable after construction and every operation is a pure
-function, so polynomials and presentations may be shared freely.
+All values are immutable after construction, so polynomials and
+presentations may be shared freely.  A ``Presentation`` holds only its
+relations and two rewrite caches, and its operations are pure: no result
+depends on the caches or on earlier calls.  Each top-level call
+(``multiply``, ``normal_form_word``, one confluence overlap, one fuzzed
+reduction) has its own budget of ``REWRITE_BUDGET`` rewrite steps and raises
+``TooLargeError`` naming its stage when the budget runs out.  Cached products
+cost no steps, so only whether a call runs out can depend on earlier calls.
 """
 
 from __future__ import annotations
@@ -21,17 +27,30 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import (
     FiltrationError,
     MalformedPresentationError,
+    TooLargeError,
     UnsupportedError,
 )
 
 Monomial = tuple[int, ...]
 
 NEG_INF = float("-inf")
+
+# Rewrite steps allowed to one top-level call of either rewriting engine.
+REWRITE_BUDGET = 2_000_000
+Steps = Iterator[int]
+
+
+def _step_budget(stage: str) -> Steps:
+    """One call's rewrite steps: each ``next`` takes one, and the first past
+    ``REWRITE_BUDGET`` raises ``TooLargeError`` naming ``stage``."""
+    yield from range(REWRITE_BUDGET)
+    raise TooLargeError(f"{stage}: rewriting budget of {REWRITE_BUDGET} steps exceeded")
 
 
 def _normalize_terms(terms: dict[Monomial, int], p: int) -> dict[Monomial, int]:
@@ -132,7 +151,7 @@ class WeightFiltration:
 
 
 class Presentation:
-    """Generators, relation table and termination guard for one algebra."""
+    """Generators, relation table and rewrite caches for one algebra."""
 
     def __init__(
         self,
@@ -141,7 +160,6 @@ class Presentation:
         relations: dict[tuple[int, int], NCPoly],
         weights: tuple[int, ...] | None = None,
         invertible: int | None = None,
-        max_steps: int = 2_000_000,
     ):
         if p < 2 or any(p % q == 0 for q in range(2, p)):
             raise UnsupportedError(f"p={p} is not prime")
@@ -152,7 +170,6 @@ class Presentation:
         if len(self.weights) != self.ngens:
             raise MalformedPresentationError("weight vector length mismatch")
         self.invertible = invertible
-        self.max_steps = max_steps
         rel = {}
         for (j, i), c in relations.items():
             if not (0 <= i < j < self.ngens):
@@ -171,8 +188,6 @@ class Presentation:
         self.relations = rel
         self._mono_gen_cache: dict[tuple[Monomial, int, int], NCPoly] = {}
         self._mono_mul_cache: dict[tuple[Monomial, Monomial], NCPoly] = {}
-        self._steps = 0
-        self._active = False
 
     # -- basic constructors -------------------------------------------------
 
@@ -212,20 +227,13 @@ class Presentation:
 
     # -- core rewriting -----------------------------------------------------
 
-    def _tick(self):
-        self._steps += 1
-        if self._steps > self.max_steps:
-            raise MalformedPresentationError(
-                "rewriting budget exceeded; presentation is likely non-terminating"
-            )
-
-    def _mono_times_gen(self, m: Monomial, i: int, sign: int) -> NCPoly:
+    def _mono_times_gen(self, m: Monomial, i: int, sign: int, steps: Steps) -> NCPoly:
         """Normal form of (monomial m) * g_i**sign with sign in {+1, -1}."""
         key = (m, i, sign)
         cached = self._mono_gen_cache.get(key)
         if cached is not None:
             return cached
-        self._tick()
+        next(steps)
         k = None
         for t in range(self.ngens - 1, i, -1):
             if m[t] != 0:
@@ -240,10 +248,11 @@ class Presentation:
             mp = list(m)
             mp[k] -= 1
             mp = tuple(mp)
-            result = self._poly_times_gen(self._mono_times_gen(mp, i, 1), k, 1)
+            below = self._mono_times_gen(mp, i, 1, steps)
+            result = self._poly_times_gen(below, k, 1, steps)
             c = self.relations.get((k, i))
             if c is not None:
-                result = result + self.multiply(NCPoly({mp: 1}, self.p), c)
+                result = result + self._multiply(NCPoly({mp: 1}, self.p), c, steps)
         else:
             # g_k g_i^{-1} = g_i^{-1} g_k - c g_i^{-2} for scalar c = c_ki
             c = self.relations.get((k, i))
@@ -259,24 +268,23 @@ class Presentation:
             mp = list(m)
             mp[k] -= 1
             mp = tuple(mp)
-            base = self._poly_times_gen(self._mono_times_gen(mp, i, -1), k, 1)
+            below = self._mono_times_gen(mp, i, -1, steps)
+            base = self._poly_times_gen(below, k, 1, steps)
             if cval:
-                corr = self._poly_times_gen(
-                    self._mono_times_gen(mp, i, -1), i, -1
-                ).scale(-cval)
+                corr = self._poly_times_gen(below, i, -1, steps).scale(-cval)
                 base = base + corr
             result = base
         self._mono_gen_cache[key] = result
         return result
 
-    def _poly_times_gen(self, x: NCPoly, i: int, sign: int = 1) -> NCPoly:
+    def _poly_times_gen(self, x: NCPoly, i: int, sign: int, steps: Steps) -> NCPoly:
         out: dict[Monomial, int] = {}
         for m, c in x.terms.items():
-            for mm, cc in self._mono_times_gen(m, i, sign).terms.items():
+            for mm, cc in self._mono_times_gen(m, i, sign, steps).terms.items():
                 out[mm] = out.get(mm, 0) + c * cc
         return NCPoly(out, self.p)
 
-    def _mono_mul(self, a: Monomial, b: Monomial) -> NCPoly:
+    def _mono_mul(self, a: Monomial, b: Monomial, steps: Steps) -> NCPoly:
         key = (a, b)
         cached = self._mono_mul_cache.get(key)
         if cached is not None:
@@ -285,25 +293,20 @@ class Presentation:
         for i, e in enumerate(b):
             sign = 1 if e >= 0 else -1
             for _ in range(abs(e)):
-                result = self._poly_times_gen(result, i, sign)
+                result = self._poly_times_gen(result, i, sign, steps)
         self._mono_mul_cache[key] = result
         return result
 
+    def _multiply(self, a: NCPoly, b: NCPoly, steps: Steps) -> NCPoly:
+        out: dict[Monomial, int] = {}
+        for ma, ca in a.terms.items():
+            for mb, cb in b.terms.items():
+                for m, c in self._mono_mul(ma, mb, steps).terms.items():
+                    out[m] = out.get(m, 0) + ca * cb * c
+        return NCPoly(out, self.p)
+
     def multiply(self, a: NCPoly, b: NCPoly) -> NCPoly:
-        fresh = not self._active
-        if fresh:
-            self._steps = 0
-            self._active = True
-        try:
-            out: dict[Monomial, int] = {}
-            for ma, ca in a.terms.items():
-                for mb, cb in b.terms.items():
-                    for m, c in self._mono_mul(ma, mb).terms.items():
-                        out[m] = out.get(m, 0) + ca * cb * c
-            return NCPoly(out, self.p)
-        finally:
-            if fresh:
-                self._active = False
+        return self._multiply(a, b, _step_budget("multiply"))
 
     def commutator(self, a: NCPoly, b: NCPoly) -> NCPoly:
         return self.multiply(a, b) - self.multiply(b, a)
@@ -316,17 +319,14 @@ class Presentation:
 
     def normal_form_word(self, word: Word, coeff: int = 1) -> NCPoly:
         """Normal form of a product of generator powers in written order."""
-        if not self._active:
-            self._steps = 0
+        steps = _step_budget("normal_form_word")
         result = self.one().scale(coeff)
         for g, e in word:
             sign = 1 if e >= 0 else -1
             if sign < 0 and g != self.invertible:
-                raise UnsupportedError(
-                    f"generator {self.names[g]} is not invertible"
-                )
+                raise UnsupportedError(f"generator {self.names[g]} is not invertible")
             for _ in range(abs(e)):
-                result = self._poly_times_gen(result, g, sign)
+                result = self._poly_times_gen(result, g, sign, steps)
         return result
 
     def normal_form_words(self, terms: dict[Word, int]) -> NCPoly:
@@ -410,7 +410,7 @@ def _rewrite_at(P: Presentation, w: FlatWord, t: int) -> dict[FlatWord, int]:
 def _reduce_word_poly(
     P: Presentation,
     terms: dict[FlatWord, int],
-    budget: int,
+    steps: Steps,
     rng: random.Random | None = None,
 ) -> dict[FlatWord, int]:
     """Fully rewrite a word polynomial to sorted words.
@@ -421,7 +421,6 @@ def _reduce_word_poly(
     """
     pending = dict(terms)
     done: dict[FlatWord, int] = {}
-    steps = 0
     while pending:
         w, c = pending.popitem()
         c %= P.p
@@ -431,9 +430,7 @@ def _reduce_word_poly(
         if not positions:
             done[w] = (done.get(w, 0) + c) % P.p
             continue
-        steps += 1
-        if steps > budget:
-            raise MalformedPresentationError("confluence rewriting budget exceeded")
+        next(steps)
         t = positions[0] if rng is None else rng.choice(positions)
         for nw, cc in _rewrite_at(P, w, t).items():
             pending[nw] = (pending.get(nw, 0) + c * cc) % P.p
@@ -455,20 +452,21 @@ class ConfluenceReport:
     discrepancies: list[tuple[tuple[int, int, int], NCPoly]] = field(default_factory=list)
 
 
-def check_confluence(P: Presentation, max_degree: int = 8) -> ConfluenceReport:
+def check_confluence(P: Presentation) -> ConfluenceReport:
     """Resolve every overlap word g_k g_j g_i (k > j > i) both ways.
 
     Both reduction orders must produce the same normal form; any discrepancy
-    polynomial is reported rather than raised.
+    polynomial is reported rather than raised.  Both routes of one overlap
+    share its step budget.
     """
-    budget = max(10_000, 200 * max_degree * P.ngens**2)
     discrepancies = []
     checked = 0
     for k, j, i in itertools.combinations(range(P.ngens - 1, -1, -1), 3):
         checked += 1
         w = (k, j, i)
-        route_a = _reduce_word_poly(P, _rewrite_at(P, w, 0), budget)
-        route_b = _reduce_word_poly(P, _rewrite_at(P, w, 1), budget)
+        steps = _step_budget(f"confluence overlap {w}")
+        route_a = _reduce_word_poly(P, _rewrite_at(P, w, 0), steps)
+        route_b = _reduce_word_poly(P, _rewrite_at(P, w, 1), steps)
         diff = _word_poly_to_ncpoly(P, route_a) - _word_poly_to_ncpoly(P, route_b)
         if not diff.is_zero():
             discrepancies.append(((k, j, i), diff))
@@ -479,11 +477,11 @@ def fuzz_reduction_order(
     P: Presentation, word: FlatWord, trials: int, seed: int = 0
 ) -> bool:
     """Spot-check that random reduction orders agree with the canonical one."""
-    budget = 100_000
-    canonical = _reduce_word_poly(P, {word: 1}, budget)
+    stage = "fuzz_reduction_order"
+    canonical = _reduce_word_poly(P, {word: 1}, _step_budget(stage))
     for t in range(trials):
         rng = random.Random(seed * 1_000_003 + t)
-        if _reduce_word_poly(P, {word: 1}, budget, rng) != canonical:
+        if _reduce_word_poly(P, {word: 1}, _step_budget(stage), rng) != canonical:
             return False
     return True
 

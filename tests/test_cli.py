@@ -146,6 +146,15 @@ def test_radical_beyond_enumeration_range():
     assert code == 0
 
 
+@pytest.mark.parametrize("preset", ["poly:1", "cyclic:1"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_radical_of_a_field(preset, p):
+    # F_p is a field: its one maximal left ideal is zero, and so is its radical
+    rep, code = run(cfg("radical", p=p, params={"preset": preset}))
+    assert code == 0 and rep.result["radical_dim"] == 0
+    assert {c["name"]: c["passed"] for c in rep.checks}["radical_cross_check"]
+
+
 @pytest.mark.parametrize(
     "preset,p,count", [("cyclic:8", 5, 6), ("cyclic:12", 5, 8), ("cyclic:6", 7, 6), ("cyclic:10", 7, 4)]
 )

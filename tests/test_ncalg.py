@@ -1,14 +1,18 @@
 """Normal forms, confluence, Hilbert functions, associated graded."""
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylkit import presentations
+from weylkit.cli import parse_config, run
 from weylkit.errors import (
     FiltrationError,
     MalformedPresentationError,
+    TooLargeError,
     UnsupportedError,
 )
 from weylkit.presentations import (
@@ -330,3 +334,61 @@ def test_degree_law_hypothesis(monos, p):
         assert x.degree() == float("-inf")
     else:
         assert x.degree() == max(sum(m) for m in x.terms)
+
+
+# -- rewriting budget ---------------------------------------------------------
+
+
+# on the chart: the word gb4^4 gb3^4 v^4 u^4, and the monomial u^4 v^4 gb3^4
+GB4_GB3_V_U = ((3, 4), (2, 4), (1, 4), (0, 4))
+U_V_GB3 = (4, 4, 4, 0)
+
+
+def test_normal_form_word_budget(monkeypatch):
+    C = chart(3)
+    monkeypatch.setattr(presentations, "REWRITE_BUDGET", 100)
+    with pytest.raises(TooLargeError, match="normal_form_word"):
+        C.normal_form_word(GB4_GB3_V_U)
+    assert C.commutator(C.gen(1), C.gen(0)) == C.gen(0, 3)
+
+
+def test_multiply_budget(monkeypatch):
+    C = chart(3)
+    monkeypatch.setattr(presentations, "REWRITE_BUDGET", 100)
+    with pytest.raises(TooLargeError, match="multiply"):
+        C.multiply(C.gen(3, 4), C.poly({U_V_GB3: 1}))
+    assert C.commutator(C.gen(1), C.gen(0)) == C.gen(0, 3)
+
+
+@pytest.mark.parametrize("call,steps", [
+    (lambda C: C.normal_form_word(GB4_GB3_V_U), 766),
+    (lambda C: C.multiply(C.gen(3, 4), C.poly({U_V_GB3: 1})), 487),
+], ids=["normal_form_word", "multiply"])
+def test_budget_charges_nested_products(monkeypatch, call, steps):
+    # hundreds of these steps are taken inside the relation products that
+    # rewriting calls for; the call that caused them pays for all of them
+    monkeypatch.setattr(presentations, "REWRITE_BUDGET", steps - 1)
+    with pytest.raises(TooLargeError):
+        call(chart(3))
+    monkeypatch.setattr(presentations, "REWRITE_BUDGET", steps)
+    call(chart(3))
+
+
+def test_confluence_budget_names_overlap(monkeypatch):
+    C = chart(3)
+    monkeypatch.setattr(presentations, "REWRITE_BUDGET", 1)
+    with pytest.raises(TooLargeError, match=r"confluence overlap \(3, 2, 1\)"):
+        check_confluence(C)
+
+
+def test_cli_budget_exits_3(monkeypatch):
+    config = parse_config(json.dumps(
+        {"p": 3, "n": 2, "command": "nf", "params": {"element": "g4^4*g3^4*g2^4*g1^4"}}
+    ))
+    rep, code = run(config)
+    assert code == 0
+    monkeypatch.setattr(presentations, "REWRITE_BUDGET", 100)
+    rep, code = run(config)
+    assert code == 3
+    [check] = rep.checks
+    assert check["name"] == "budget" and "normal_form_word" in check["detail"]
