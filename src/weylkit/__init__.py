@@ -5,7 +5,7 @@ Serre twists and the principal symbol, local-ring taxonomy, and exact Ext /
 grade computations on finite-dimensional algebras.
 """
 
-from .commpoly import CommPoly, GFExt, exact_div
+from .commpoly import CommPoly, exact_div
 from .elements import format_element, parse_element
 from .errors import (
     FiltrationError,
@@ -52,7 +52,6 @@ from .localring import (
 from .norm import (
     GradedSymbol,
     check_norm_symbol_diagram,
-    det_cross_check,
     det_poly,
     global_twist_sections,
     left_mult_matrix,

@@ -344,7 +344,7 @@ def _cmd_sections(config: JobConfig, rep: Report):
     k = int(config.params["k"])
     default_bound = max(k * A.p ** (A.n - 1), 0)
     bound = int(config.params.get("degree_bound", default_bound))
-    basis = global_twist_sections(k, bound, A, seed=config.seed)
+    basis = global_twist_sections(k, bound, A)
     rep.result["basis"] = [format_element(b, A.presentation) for b in basis]
     rep.result["dimension"] = len(basis)
     rep.add_check("sections_computed", True, f"dim={len(basis)}")

@@ -7,9 +7,6 @@ dicts keep no zero coefficients; arithmetic is exact.
 
 from __future__ import annotations
 
-import itertools
-import random
-
 from .errors import InvalidFormError, InternalInconsistencyError
 
 NEG_INF = float("-inf")
@@ -113,11 +110,6 @@ class CommPoly:
         d = self.degree()
         return self._like({m: c for m, c in self.terms.items() if sum(m) == d})
 
-    def leading_term(self):
-        """(monomial, coeff) maximal in graded-lex order."""
-        m = max(self.terms, key=lambda m: (sum(m), m))
-        return m, self.terms[m]
-
     def substitute_frobenius(self, power=1):
         """Replace each variable by its p^power-th power (x_i -> t_i^{p^power})
         and retag to the t-family."""
@@ -141,24 +133,6 @@ class CommPoly:
                 )
             out[tuple(e // q for e in m)] = c
         return self._like(out)
-
-    def evaluate(self, point, field=None):
-        """Evaluate at a tuple of scalars; `field` supplies GF(p^m) arithmetic."""
-        if field is None:
-            total = 0
-            for m, c in self.terms.items():
-                v = c
-                for x, e in zip(point, m):
-                    v = v * pow(x, e, self.p) % self.p
-                total = (total + v) % self.p
-            return total
-        total = field.zero
-        for m, c in self.terms.items():
-            v = field.embed(c)
-            for x, e in zip(point, m):
-                v = field.mul(v, field.pow(x, e))
-            total = field.add(total, v)
-        return total
 
     def format(self, names=None):
         if not self.terms:
@@ -185,156 +159,113 @@ class CommPoly:
 
 
 def exact_div(f: CommPoly, g: CommPoly) -> CommPoly:
-    """Exact quotient f / g; raises if g does not divide f.
-
-    Single-divisor division in graded-lex order: if g | f the division
-    algorithm terminates with zero remainder and the true quotient.
-    """
+    """Exact quotient f / g; raises if g does not divide f."""
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    p = f.p
-    gm, gc = g.leading_term()
-    gc_inv = pow(gc, -1, p)
-    rem = dict(f.terms)
-    quot: dict[tuple, int] = {}
-    while rem:
-        m = max(rem, key=lambda m: (sum(m), m))
-        c = rem[m]
-        q = tuple(a - b for a, b in zip(m, gm))
-        if any(e < 0 for e in q):
-            raise InternalInconsistencyError("exact division failed")
-        qc = c * gc_inv % p
-        quot[q] = (quot.get(q, 0) + qc) % p
-        for mg, cg in g.terms.items():
-            mm = tuple(a + b for a, b in zip(q, mg))
-            v = (rem.get(mm, 0) - qc * cg) % p
-            if v:
-                rem[mm] = v
-            else:
-                rem.pop(mm, None)
-    return CommPoly(quot, p, f.nvars, f.family)
+    pk = Packing(f.nvars, max(f.degree(), g.degree()))
+    return pk.unpack(pk.divide(pk.pack(f), pk.pack(g), f.p), f.p, f.family)
 
 
-# -- small extension fields GF(p^m), used for interpolation cross-checks -----
+# -- the packed kernel ---------------------------------------------------------
 
 
-class GFExt:
-    """GF(p^m) with elements as coefficient tuples mod an irreducible poly."""
+class Packing:
+    """Monomials in `nvars` variables of total degree <= `degree`, each packed
+    into one int, and polynomials as dicts {packed monomial: coefficient}.
 
-    def __init__(self, p: int, m: int):
-        self.p = p
-        self.m = m
-        self.modulus = self._find_irreducible(p, m)
-        self.zero = (0,) * m
-        self.one = (1,) + (0,) * (m - 1)
+    The top field holds the total degree and the fields below it hold
+    m_1..m_n, each `width` bits wide with a guard bit on top.  Int order is
+    then the graded-lex order (sum(m), m) and a monomial product is an int
+    addition.  No field of a monomial of degree <= `degree` reaches its guard
+    bit, so m divides m' iff m' - m is non-negative with every guard bit clear:
+    a field that borrows sets its own guard bit, and the top one turns the
+    difference negative.
+    """
 
-    @staticmethod
-    def _find_irreducible(p, m):
-        # brute force over monic degree-m polynomials; fine for small p, m
-        for tail in itertools.product(range(p), repeat=m):
-            coeffs = list(tail) + [1]  # low-to-high
-            if GFExt._is_irreducible(coeffs, p):
-                return tuple(coeffs)
-        raise InternalInconsistencyError("no irreducible polynomial found")
+    __slots__ = ("nvars", "width", "guard")
 
-    @staticmethod
-    def _poly_mod(a, mod, p):
-        a = list(a)
-        dm = len(mod) - 1
-        while len(a) > dm:
-            lead = a[-1] % p
-            if lead:
-                shift = len(a) - 1 - dm
-                for i, c in enumerate(mod):
-                    a[shift + i] = (a[shift + i] - lead * c) % p
-            a.pop()
-        while len(a) < dm:
-            a.append(0)
-        return [c % p for c in a]
+    def __init__(self, nvars: int, degree: int):
+        self.nvars = nvars
+        self.width = max(degree, 0).bit_length() + 1
+        top = 1 << (self.width - 1)
+        self.guard = sum(top << (self.width * i) for i in range(nvars + 1))
 
-    @staticmethod
-    def _is_irreducible(coeffs, p):
-        # trial division by every monic polynomial of degree <= m/2
-        m = len(coeffs) - 1
-        if m == 1:
-            return True
-        for d in range(1, m // 2 + 1):
-            for tail in itertools.product(range(p), repeat=d):
-                div = list(tail) + [1]
-                if GFExt._poly_rem_is_zero(list(coeffs), div, p):
-                    return False
-        return True
-
-    @staticmethod
-    def _poly_rem_is_zero(a, b, p):
-        while len(a) >= len(b):
-            lead = a[-1] % p
-            if lead:
-                shift = len(a) - len(b)
-                for i, c in enumerate(b):
-                    a[shift + i] = (a[shift + i] - lead * c) % p
-            a.pop()
-        return all(c % p == 0 for c in a)
-
-    @staticmethod
-    def _mul_mod(a, b, mod, p):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-        return GFExt._poly_mod(out, mod, p)
-
-    def embed(self, c: int):
-        return (c % self.p,) + (0,) * (self.m - 1)
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        return tuple(self._mul_mod(list(a), list(b), self.modulus, self.p))
-
-    def pow(self, a, e):
-        out = self.one
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
+    def pack(self, f: CommPoly) -> dict[int, int]:
+        w = self.width
+        out = {}
+        for m, c in f.terms.items():
+            key = sum(m)
+            for e in m:
+                key = key << w | e
+            out[key] = c
         return out
 
-    def inv(self, a):
-        # a^(p^m - 2)
-        if a == self.zero:
-            raise ZeroDivisionError
-        return self.pow(a, self.p**self.m - 2)
+    def unpack(self, terms: dict[int, int], p: int, family: str) -> CommPoly:
+        w, nv = self.width, self.nvars
+        mask = (1 << w) - 1
+        shifts = [w * (nv - 1 - i) for i in range(nv)]
+        return CommPoly(
+            {tuple(key >> s & mask for s in shifts): c for key, c in terms.items()},
+            p,
+            nv,
+            family,
+        )
 
-    def random_element(self, rng: random.Random):
-        return tuple(rng.randrange(self.p) for _ in range(self.m))
+    def divide(self, f: dict[int, int], g: dict[int, int], p: int) -> dict[int, int]:
+        """Exact quotient of packed f by non-zero packed g over F_p.
 
-    def det(self, mat):
-        """Determinant over GF(p^m) by Gaussian elimination."""
-        m = [row[:] for row in mat]
-        size = len(m)
-        det = self.one
-        for c in range(size):
-            piv = next((r for r in range(c, size) if m[r][c] != self.zero), None)
-            if piv is None:
-                return self.zero
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = self.mul(det, self.embed(-1))
-            det = self.mul(det, m[c][c])
-            inv = self.inv(m[c][c])
-            for r in range(c + 1, size):
-                if m[r][c] == self.zero:
-                    continue
-                f = self.mul(m[r][c], inv)
-                for cc in range(c, size):
-                    m[r][cc] = self.sub(m[r][cc], self.mul(f, m[c][cc]))
-        return det
+        Single-divisor division in graded-lex order: if g | f it ends with zero
+        remainder and the true quotient.  A monomial g divides term by term.
+        """
+        guard = self.guard
+        gm = max(g)
+        inv = pow(g[gm], -1, p)
+        if len(g) == 1:
+            out = {}
+            for m, c in f.items():
+                q = m - gm
+                if q < 0 or q & guard:
+                    raise InternalInconsistencyError("exact division failed")
+                out[q] = c * inv % p
+            return out
+        tail = [(m, p - c) for m, c in g.items() if m != gm]
+        rem = dict(f)
+        quot = {}
+        while rem:
+            m = max(rem)
+            q = m - gm
+            if q < 0 or q & guard:
+                raise InternalInconsistencyError("exact division failed")
+            qc = rem.pop(m) * inv % p
+            quot[q] = qc
+            for mg, cg in tail:
+                mm = q + mg
+                v = (rem.get(mm, 0) + qc * cg) % p
+                if v:
+                    rem[mm] = v
+                else:
+                    rem.pop(mm, None)
+        return quot
+
+
+def mul_sub(a, b, c, d, p: int) -> dict[int, int]:
+    """a*b - c*d over F_p on packed polynomials; a product with a factor of
+    None (zero) is skipped."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    if a is not None and b is not None:
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = ma + mb
+                acc[m] = get(m, 0) + ca * cb
+    if c is not None and d is not None:
+        for mc, cc in c.items():
+            for md, cd in d.items():
+                m = mc + md
+                acc[m] = get(m, 0) - cc * cd
+    out = {}
+    for m, v in acc.items():
+        v %= p
+        if v:
+            out[m] = v
+    return out

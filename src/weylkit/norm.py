@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 
-from .commpoly import CommPoly, GFExt, exact_div
+from .commpoly import CommPoly, Packing, mul_sub
 from .errors import IncompleteSearchError, InternalInconsistencyError
 from .presentations import NCPoly
 from .weylalg import WeylAlgebra, pbw_monomials
@@ -32,83 +31,86 @@ def _basis(A: WeylAlgebra):
 
 def left_mult_matrix(s: NCPoly, A: WeylAlgebra) -> list[list[CommPoly]]:
     """Matrix of left multiplication by s on the basis {gamma^a, 0<=a_i<p},
-    with entries in the center written in the x-coordinates."""
+    with entries in the center written in the x-coordinates.  Zero entries
+    share one instance."""
     p = A.p
     nv = A.ngens
     basis = _basis(A)
     index = {m: k for k, m in enumerate(basis)}
     size = len(basis)
-    zero = CommPoly.zero(p, nv, "x")
-    M = [[zero for _ in range(size)] for _ in range(size)]
+    cells: dict[tuple[int, int], dict] = {}
     P = A.presentation
     for col, b in enumerate(basis):
         prod = P.multiply(s, NCPoly({b: 1}, p))
         for m, c in prod.terms.items():
-            q = tuple(e // p for e in m)
-            r = tuple(e % p for e in m)
-            row = index[r]
-            M[row][col] = M[row][col] + CommPoly({q: c}, p, nv, "x")
+            row = index[tuple(e % p for e in m)]
+            # gamma^m = x^(m // p) * gamma^(m % p): distinct terms of prod give
+            # distinct (cell, x-monomial) pairs, so no coefficients add up.
+            cells.setdefault((row, col), {})[tuple(e // p for e in m)] = c
+    zero = CommPoly.zero(p, nv, "x")
+    M = [[zero] * size for _ in range(size)]
+    for (row, col), terms in cells.items():
+        M[row][col] = CommPoly(terms, p, nv, "x")
     return M
 
 
 def det_poly(M: list[list[CommPoly]]) -> CommPoly:
-    """Exact determinant by fraction-free Bareiss elimination."""
+    """Exact determinant by fraction-free Bareiss elimination.
+
+    Rows are sparse dicts {column: packed polynomial} with zero entries left
+    out.  Every Bareiss entry is a minor of M, so its degree is at most the
+    sum over rows of the row's largest entry degree, and a numerator's at
+    most twice that; the packing is sized for the numerators.
+
+    A row with a zero in the pivot column k would only be rescaled by
+    a_k / a_(k-1), a_k the k-th pivot.  Those factors telescope, so a row is
+    left as it is and keeps the pivot of its last update as its divisor
+    `den`: its Bareiss row is row * prev / den, and update k divides by den
+    in place of prev.
+    """
     if not M:
         raise InternalInconsistencyError("empty matrix")
     proto = M[0][0]
     p, nv, fam = proto.p, proto.nvars, proto.family
     size = len(M)
-    m = [row[:] for row in M]
+    bound = sum(max((e.degree() for e in row if e.terms), default=0) for row in M)
+    pk = Packing(nv, 2 * bound)
+    rows = [{j: pk.pack(e) for j, e in enumerate(row) if e.terms} for row in M]
+    prev = {0: 1}
+    dens = [prev] * size
     sign = 1
-    prev = CommPoly.const(1, p, nv, fam)
+
+    def current(i):
+        if dens[i] == prev:
+            return rows[i]
+        return {j: pk.divide(mul_sub(prev, e, None, None, p), dens[i], p)
+                for j, e in rows[i].items()}
+
     for k in range(size - 1):
-        if m[k][k].is_zero():
-            piv = next((r for r in range(k + 1, size) if not m[r][k].is_zero()), None)
+        if k not in rows[k]:
+            piv = next((r for r in range(k + 1, size) if k in rows[r]), None)
             if piv is None:
                 return CommPoly.zero(p, nv, fam)
-            m[k], m[piv] = m[piv], m[k]
+            rows[k], rows[piv] = rows[piv], rows[k]
+            dens[k], dens[piv] = dens[piv], dens[k]
             sign = -sign
+        top = current(k)
+        a = top[k]
         for i in range(k + 1, size):
-            if m[i][k].is_zero():
-                # row already eliminated in this column; still rescale
-                for j in range(k + 1, size):
-                    if not m[i][j].is_zero():
-                        m[i][j] = exact_div(m[k][k] * m[i][j], prev)
-                    else:
-                        m[i][j] = CommPoly.zero(p, nv, fam)
+            row = rows[i]
+            c = row.pop(k, None)
+            if c is None:
                 continue
-            for j in range(k + 1, size):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = (
-                    exact_div(num, prev) if not num.is_zero() else CommPoly.zero(p, nv, fam)
-                )
-            m[i][k] = CommPoly.zero(p, nv, fam)
-        prev = m[k][k]
-    det = m[size - 1][size - 1]
-    return det if sign == 1 else -det
-
-
-def det_cross_check(
-    M, det: CommPoly, trials: int = 3, seed: int = 0
-) -> bool:
-    """Probe the symbolic determinant at random points of GF(p^m) with
-    p^m > 2 * size * max entry degree."""
-    proto = M[0][0]
-    p = proto.p
-    size = len(M)
-    maxdeg = max((0 if e.is_zero() else int(e.degree()) for row in M for e in row), default=0)
-    target = 2 * size * max(maxdeg, 1) + 1
-    m = 1
-    while p**m < target:
-        m += 1
-    field = GFExt(p, m)
-    rng = random.Random(seed)
-    for _ in range(trials):
-        point = [field.random_element(rng) for _ in range(proto.nvars)]
-        numeric = field.det([[e.evaluate(point, field) for e in row] for row in M])
-        if numeric != det.evaluate(point, field):
-            return False
-    return True
+            new = {}
+            for j in row.keys() | top.keys():
+                if j > k:
+                    num = mul_sub(a, row.get(j), c, top.get(j), p)
+                    if num:
+                        new[j] = pk.divide(num, dens[i], p)
+            rows[i], dens[i] = new, a
+        prev = a
+    det = current(size - 1).get(size - 1, {})
+    return pk.unpack({m: sign * c for m, c in det.items()}, p, fam)
 
 
 def reduced_norm(s: NCPoly, A: WeylAlgebra) -> CommPoly:
@@ -173,17 +175,16 @@ def twist_membership(s: NCPoly, k: int, A: WeylAlgebra) -> bool:
     return ord_at_H_dagger(reduced_norm(s, A)) >= -k * A.p**A.n
 
 
-def global_twist_sections(
-    k: int, degree_bound: int, A: WeylAlgebra, span_budget: int = 4096, seed: int = 0
-) -> list[NCPoly]:
+def global_twist_sections(k: int, degree_bound: int, A: WeylAlgebra) -> list[NCPoly]:
     """Basis of the global sections of the twist of level k among elements of
     degree <= degree_bound.
 
-    Monomials are tested through the norm; when the full coefficient space is
-    small it is enumerated outright, otherwise the span structure is probed on
-    random combinations.
+    The degree law deg N(s) = deg(s) * p^(n-1) puts s in the level-k twist
+    iff deg s <= k, so the sections are the monomials of degree <= k, and a
+    bound >= k sees them all.  Every monomial of degree <= degree_bound is
+    still tested through the norm, and a disagreement with the law raises.
     """
-    if degree_bound < k * A.p ** (A.n - 1):
+    if degree_bound < k:
         raise IncompleteSearchError(
             f"degree_bound {degree_bound} cannot certify completeness for k={k}"
         )
@@ -194,37 +195,14 @@ def global_twist_sections(
         if sum(m) <= degree_bound
     ]
     monos.sort(key=lambda m: (sum(m), m))
-    member = []
-    non_member = []
+    basis = []
     for m in monos:
         s = NCPoly({m: 1}, p)
-        (member if twist_membership(s, k, A) else non_member).append(m)
-
-    if p ** len(monos) <= span_budget:
-        # exhaustive span search: membership must match the monomial span
-        members = set()
-        for coeffs in itertools.product(range(p), repeat=len(monos)):
-            s = NCPoly(dict(zip(monos, coeffs)), p)
-            if twist_membership(s, k, A):
-                members.add(frozenset(s.terms.items()))
-        span_ok = all(
-            set(dict(t)) <= set(member) for t in members
-        )
-        if not span_ok:
+        member = twist_membership(s, k, A)
+        if member != (sum(m) <= k):
             raise InternalInconsistencyError(
-                "twist sections are not spanned by monomials"
+                f"twist membership of monomial {m} at k={k} breaks the degree law"
             )
-    else:
-        rng = random.Random(seed)
-        for _ in range(20):
-            combo = {m: rng.randrange(p) for m in member}
-            if not twist_membership(NCPoly(combo, p), k, A):
-                raise InternalInconsistencyError("member span closure failed")
-        for m in non_member[: min(8, len(non_member))]:
-            combo = {mm: rng.randrange(p) for mm in member}
-            combo[m] = 1 + rng.randrange(p - 1) if p > 2 else 1
-            if twist_membership(NCPoly(combo, p), k, A):
-                raise InternalInconsistencyError(
-                    "non-member monomial entered the twist through a span"
-                )
-    return [NCPoly({m: 1}, p) for m in member]
+        if member:
+            basis.append(s)
+    return basis

@@ -1,5 +1,6 @@
 """Config parsing, subcommand dispatch, exit codes, reproducibility."""
 
+import itertools
 import json
 import pathlib
 
@@ -7,7 +8,7 @@ import pytest
 
 from child_process import run_weylkit
 from weylkit.cli import ConfigError, parse_config, run
-from weylkit.elements import parse_element
+from weylkit.elements import format_element, parse_element
 from weylkit.errors import InvalidFormError
 from weylkit.presentations import NCPoly
 from weylkit.weylalg import localized_weyl, weyl_presentation
@@ -106,6 +107,17 @@ def test_run_sections():
     rep, code = run(cfg("sections", params={"k": 1}))
     assert code == 0
     assert sorted(rep.result["basis"]) == ["1", "g1", "g2"]
+
+
+@pytest.mark.parametrize("p,n,k", [(7, 1, 1), (2, 2, 2)])
+def test_run_sections_degree_law(p, n, k):
+    # the basis is the monomials of degree <= k, in graded-lex order
+    rep, code = run(cfg("sections", p=p, n=n, params={"k": k}))
+    P = weyl_presentation(p, n).presentation
+    monos = [m for m in itertools.product(range(k + 1), repeat=2 * n) if sum(m) <= k]
+    monos.sort(key=lambda m: (sum(m), m))
+    assert code == 0
+    assert rep.result["basis"] == [format_element(NCPoly({m: 1}, p), P) for m in monos]
 
 
 def test_run_confluence_targets():

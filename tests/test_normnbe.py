@@ -5,12 +5,18 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weylkit.commpoly import CommPoly
-from weylkit.errors import IncompleteSearchError
+import weylkit.norm
+from weylkit.commpoly import CommPoly, Packing, exact_div
+from weylkit.errors import (
+    IncompleteSearchError,
+    InternalInconsistencyError,
+    InvalidFormError,
+)
 from weylkit.norm import (
     check_norm_symbol_diagram,
-    det_cross_check,
     det_poly,
     global_twist_sections,
     left_mult_matrix,
@@ -20,7 +26,10 @@ from weylkit.norm import (
     twist_membership,
 )
 from weylkit.presentations import NCPoly
-from weylkit.weylalg import pbw_monomials, weyl_presentation
+from weylkit.weylalg import pbw_monomials, validate_symplectic, weyl_presentation
+
+
+# -- determinant oracles --------------------------------------------------------
 
 
 def _det_cofactor(M) -> CommPoly:
@@ -39,6 +48,209 @@ def _det_cofactor(M) -> CommPoly:
     return total
 
 
+def _exact_div_tuples(f: CommPoly, g: CommPoly) -> CommPoly:
+    """Oracle: exact division on exponent tuples, leading term by max()."""
+    p = f.p
+    gm = max(g.terms, key=lambda m: (sum(m), m))
+    gc_inv = pow(g.terms[gm], -1, p)
+    rem = dict(f.terms)
+    quot = {}
+    while rem:
+        m = max(rem, key=lambda m: (sum(m), m))
+        q = tuple(a - b for a, b in zip(m, gm))
+        if any(e < 0 for e in q):
+            raise InternalInconsistencyError("exact division failed")
+        qc = rem[m] * gc_inv % p
+        quot[q] = (quot.get(q, 0) + qc) % p
+        for mg, cg in g.terms.items():
+            mm = tuple(a + b for a, b in zip(q, mg))
+            v = (rem.get(mm, 0) - qc * cg) % p
+            if v:
+                rem[mm] = v
+            else:
+                rem.pop(mm, None)
+    return CommPoly(quot, p, f.nvars, f.family)
+
+
+def _det_bareiss_tuples(M) -> CommPoly:
+    """Oracle: dense Bareiss over CommPoly entries, every row rescaled at
+    every step, with the tuple-keyed division above."""
+    proto = M[0][0]
+    p, nv, fam = proto.p, proto.nvars, proto.family
+    size = len(M)
+    m = [row[:] for row in M]
+    sign = 1
+    prev = CommPoly.const(1, p, nv, fam)
+    for k in range(size - 1):
+        if m[k][k].is_zero():
+            piv = next((r for r in range(k + 1, size) if not m[r][k].is_zero()), None)
+            if piv is None:
+                return CommPoly.zero(p, nv, fam)
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
+                m[i][j] = _exact_div_tuples(num, prev)
+            m[i][k] = CommPoly.zero(p, nv, fam)
+        prev = m[k][k]
+    det = m[size - 1][size - 1]
+    return det if sign == 1 else -det
+
+
+class GFExt:
+    """GF(p^m) with elements as coefficient tuples mod an irreducible poly."""
+
+    def __init__(self, p: int, m: int):
+        self.p = p
+        self.m = m
+        self.modulus = self._find_irreducible(p, m)
+        self.zero = (0,) * m
+        self.one = (1,) + (0,) * (m - 1)
+
+    @staticmethod
+    def _find_irreducible(p, m):
+        # brute force over monic degree-m polynomials; fine for small p, m
+        for tail in itertools.product(range(p), repeat=m):
+            coeffs = list(tail) + [1]  # low-to-high
+            if GFExt._is_irreducible(coeffs, p):
+                return tuple(coeffs)
+        raise InternalInconsistencyError("no irreducible polynomial found")
+
+    @staticmethod
+    def _poly_mod(a, mod, p):
+        a = list(a)
+        dm = len(mod) - 1
+        while len(a) > dm:
+            lead = a[-1] % p
+            if lead:
+                shift = len(a) - 1 - dm
+                for i, c in enumerate(mod):
+                    a[shift + i] = (a[shift + i] - lead * c) % p
+            a.pop()
+        while len(a) < dm:
+            a.append(0)
+        return [c % p for c in a]
+
+    @staticmethod
+    def _is_irreducible(coeffs, p):
+        # trial division by every monic polynomial of degree <= m/2
+        m = len(coeffs) - 1
+        if m == 1:
+            return True
+        for d in range(1, m // 2 + 1):
+            for tail in itertools.product(range(p), repeat=d):
+                div = list(tail) + [1]
+                if GFExt._poly_rem_is_zero(list(coeffs), div, p):
+                    return False
+        return True
+
+    @staticmethod
+    def _poly_rem_is_zero(a, b, p):
+        while len(a) >= len(b):
+            lead = a[-1] % p
+            if lead:
+                shift = len(a) - len(b)
+                for i, c in enumerate(b):
+                    a[shift + i] = (a[shift + i] - lead * c) % p
+            a.pop()
+        return all(c % p == 0 for c in a)
+
+    @staticmethod
+    def _mul_mod(a, b, mod, p):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if not ca:
+                continue
+            for j, cb in enumerate(b):
+                out[i + j] = (out[i + j] + ca * cb) % p
+        return GFExt._poly_mod(out, mod, p)
+
+    def embed(self, c: int):
+        return (c % self.p,) + (0,) * (self.m - 1)
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple((x - y) % self.p for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        return tuple(self._mul_mod(list(a), list(b), self.modulus, self.p))
+
+    def pow(self, a, e):
+        out = self.one
+        base = a
+        while e:
+            if e & 1:
+                out = self.mul(out, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return out
+
+    def inv(self, a):
+        # a^(p^m - 2)
+        if a == self.zero:
+            raise ZeroDivisionError
+        return self.pow(a, self.p**self.m - 2)
+
+    def random_element(self, rng: random.Random):
+        return tuple(rng.randrange(self.p) for _ in range(self.m))
+
+    def evaluate(self, f: CommPoly, point):
+        """f at a point of GF(p^m)^nvars."""
+        total = self.zero
+        for m, c in f.terms.items():
+            v = self.embed(c)
+            for x, e in zip(point, m):
+                v = self.mul(v, self.pow(x, e))
+            total = self.add(total, v)
+        return total
+
+    def det(self, mat):
+        """Determinant over GF(p^m) by Gaussian elimination."""
+        m = [row[:] for row in mat]
+        size = len(m)
+        det = self.one
+        for c in range(size):
+            piv = next((r for r in range(c, size) if m[r][c] != self.zero), None)
+            if piv is None:
+                return self.zero
+            if piv != c:
+                m[c], m[piv] = m[piv], m[c]
+                det = self.mul(det, self.embed(-1))
+            det = self.mul(det, m[c][c])
+            inv = self.inv(m[c][c])
+            for r in range(c + 1, size):
+                if m[r][c] == self.zero:
+                    continue
+                f = self.mul(m[r][c], inv)
+                for cc in range(c, size):
+                    m[r][cc] = self.sub(m[r][cc], self.mul(f, m[c][cc]))
+        return det
+
+
+def det_cross_check(M, det: CommPoly, trials: int = 3, seed: int = 0) -> bool:
+    """Oracle: probe a symbolic determinant at random points of GF(p^m) with
+    p^m > 2 * size * max entry degree."""
+    proto = M[0][0]
+    p = proto.p
+    size = len(M)
+    maxdeg = max((0 if e.is_zero() else int(e.degree()) for row in M for e in row), default=0)
+    target = 2 * size * max(maxdeg, 1) + 1
+    m = 1
+    while p**m < target:
+        m += 1
+    field = GFExt(p, m)
+    rng = random.Random(seed)
+    for _ in range(trials):
+        point = [field.random_element(rng) for _ in range(proto.nvars)]
+        numeric = field.det([[field.evaluate(e, point) for e in row] for row in M])
+        if numeric != field.evaluate(det, point):
+            return False
+    return True
+
+
 def weyl(p, n):
     return weyl_presentation(p, n)
 
@@ -53,6 +265,19 @@ def random_element(A, rng, max_degree=2, max_terms=3):
         terms[tuple(m)] = rng.randrange(1, P.p)
     x = NCPoly(terms, P.p)
     return x if not x.is_zero() else P.one()
+
+
+def random_h(p, n, rng):
+    """A random non-degenerate skew-symmetric 2n x 2n matrix over F_p."""
+    while True:
+        h = [[0] * (2 * n) for _ in range(2 * n)]
+        for i, j in itertools.combinations(range(2 * n), 2):
+            h[i][j] = rng.randrange(p)
+            h[j][i] = -h[i][j] % p
+        try:
+            return validate_symplectic(h, p)
+        except InvalidFormError:
+            continue
 
 
 # -- left_mult_matrix ---------------------------------------------------------
@@ -114,24 +339,49 @@ def test_det_small_examples():
     assert _det_cofactor(M) == x1 * x1
 
 
+def _random_sparse_matrix(rng, p, nv, size):
+    """Sparse multi-term entries; some matrices get a zero leading column
+    entry (a row swap) or a repeated row (singular)."""
+    def entry():
+        if rng.random() < 0.4:
+            return CommPoly.zero(p, nv)
+        terms = {
+            tuple(rng.randrange(3) for _ in range(nv)): rng.randrange(1, p)
+            for _ in range(rng.randrange(1, 4))
+        }
+        return CommPoly(terms, p, nv)
+
+    M = [[entry() for _ in range(size)] for _ in range(size)]
+    shape = rng.randrange(3)
+    if shape == 1 and size > 1:
+        M[0][0] = CommPoly.zero(p, nv)
+    elif shape == 2 and size > 1:
+        M[-1] = M[0][:]
+    return M
+
+
 def test_bareiss_matches_cofactor_random():
     rng = random.Random(9)
-    for p, size in itertools.product((2, 3, 5), range(1, 6)):
-        for _ in range(6):
-            M = [
-                [
-                    CommPoly(
-                        {
-                            (rng.randrange(2), rng.randrange(2)): rng.randrange(p)
-                        },
-                        p,
-                        2,
-                    )
-                    for _ in range(size)
-                ]
-                for _ in range(size)
-            ]
-            assert det_poly(M) == _det_cofactor(M)
+    seen = {"swap": 0, "singular": 0}
+    for p, nv, size in itertools.product((2, 3, 5, 7), (1, 2, 3, 4), range(1, 7)):
+        for _ in range(3 if size < 6 else 1):
+            M = _random_sparse_matrix(rng, p, nv, size)
+            det = det_poly(M)
+            assert det == _det_cofactor(M)
+            seen["swap"] += size > 1 and M[0][0].is_zero() and any(
+                not M[r][0].is_zero() for r in range(size))
+            seen["singular"] += det.is_zero()
+    assert seen["swap"] > 20 and seen["singular"] > 20
+
+
+@pytest.mark.parametrize("p,n,count", [(2, 1, 12), (3, 1, 12), (5, 1, 6), (7, 1, 3), (2, 2, 6)])
+@pytest.mark.parametrize("h", ["standard", "random"])
+def test_det_poly_matches_tuple_bareiss(p, n, count, h):
+    rng = random.Random(100 * p + n)
+    A = weyl_presentation(p, n, None if h == "standard" else random_h(p, n, rng))
+    for _ in range(count):
+        M = left_mult_matrix(random_element(A, rng), A)
+        assert det_poly(M) == _det_bareiss_tuples(M)
 
 
 def test_det_interpolation_cross_check():
@@ -139,6 +389,83 @@ def test_det_interpolation_cross_check():
     for s in (A.presentation.gen(0), A.presentation.gen(1)):
         M = left_mult_matrix(s, A)
         assert det_cross_check(M, det_poly(M), trials=4, seed=1)
+
+
+# -- the packed kernel -----------------------------------------------------------
+
+
+@st.composite
+def quotient_and_divisor(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    nv = draw(st.integers(1, 4))
+    mono = st.tuples(*[st.integers(0, 3)] * nv)
+
+    def poly(min_size):
+        terms = draw(st.dictionaries(mono, st.integers(1, p - 1), min_size=min_size, max_size=5))
+        return CommPoly(terms, p, nv)
+
+    return poly(0), poly(1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(quotient_and_divisor())
+def test_exact_div_inverts_mul(qg):
+    q, g = qg
+    assert exact_div(q * g, g) == q
+
+
+@settings(max_examples=200, deadline=None)
+@given(quotient_and_divisor(), st.integers(1, 6))
+def test_exact_div_rejects_non_multiple(qg, c):
+    # g of degree >= 1 cannot divide q*g + c for a constant c != 0
+    q, g = qg
+    if g.degree() < 1:
+        g = g * CommPoly.var(0, g.p, g.nvars)
+    f = q * g + CommPoly.const(1 + c % (g.p - 1), g.p, g.nvars)
+    with pytest.raises(InternalInconsistencyError, match="exact division failed"):
+        exact_div(f, g)
+
+
+@st.composite
+def monomials_at_bound(draw):
+    """A degree bound and two monomials under it, the second of degree
+    exactly the bound."""
+    nv = draw(st.integers(1, 4))
+    degree = draw(st.integers(0, 70))
+
+    def mono():
+        m = []
+        for e in draw(st.lists(st.integers(0, degree), min_size=nv, max_size=nv)):
+            m.append(min(e, degree - sum(m)))
+        return tuple(m)
+
+    a, b = mono(), mono()
+    return degree, a, b[:-1] + (degree - sum(b[:-1]),)
+
+
+def _key(pk, m):
+    (key,) = pk.pack(CommPoly({m: 1}, 2, len(m)))
+    return key
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomials_at_bound())
+def test_packing_order_round_trip_and_division(dab):
+    degree, a, b = dab
+    pk = Packing(len(a), degree)
+    ka, kb = _key(pk, a), _key(pk, b)
+    assert (ka < kb) == ((sum(a), a) < (sum(b), b))
+    assert (ka == kb) == (a == b)
+    for m, key in ((a, ka), (b, kb)):
+        assert pk.unpack({key: 1}, 2, "x") == CommPoly({m: 1}, 2, len(m))
+    for num, den in ((b, a), (a, b)):
+        if all(x >= y for x, y in zip(num, den)):
+            quot = tuple(x - y for x, y in zip(num, den))
+            assert pk.divide({_key(pk, num): 1}, {_key(pk, den): 1}, 2) == {_key(pk, quot): 1}
+            assert _key(pk, quot) + _key(pk, den) == _key(pk, num)
+        else:
+            with pytest.raises(InternalInconsistencyError):
+                pk.divide({_key(pk, num): 1}, {_key(pk, den): 1}, 2)
 
 
 # -- reduced norm -------------------------------------------------------------
@@ -312,6 +639,38 @@ def test_twist_minus_p_identity():
 # -- global sections ----------------------------------------------------------
 
 
+def _monomials(nv, degree):
+    """Exponent vectors of degree <= `degree` in graded-lex order."""
+    monos = [m for m in itertools.product(range(degree + 1), repeat=nv) if sum(m) <= degree]
+    return sorted(monos, key=lambda m: (sum(m), m))
+
+
+def _sections_by_span(k, degree_bound, A):
+    """Oracle: test every F_p-combination of the monomials of degree <=
+    degree_bound, check that the members form the span of the member
+    monomials, and return those monomials."""
+    p = A.p
+    monos = _monomials(A.ngens, degree_bound)
+    members = set()
+    for coeffs in itertools.product(range(p), repeat=len(monos)):
+        s = NCPoly(dict(zip(monos, coeffs)), p)
+        if twist_membership(s, k, A):
+            members.add(frozenset(s.terms.items()))
+    support = sorted({m for t in members for m, _ in t}, key=lambda m: (sum(m), m))
+    assert len(members) == p ** len(support)
+    return support
+
+
+@pytest.mark.parametrize(
+    "p,n,k", [(2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 1), (3, 1, 2), (5, 1, 1), (2, 2, 1)]
+)
+def test_sections_match_span_enumeration(p, n, k):
+    # bound k: at (2, 2) the default k * p^(n-1) = 2 has 2^15 combinations
+    A = weyl(p, n)
+    basis = global_twist_sections(k, k, A)
+    assert [next(iter(b.terms)) for b in basis] == _sections_by_span(k, k, A)
+
+
 def test_sections_k1_n1():
     for p in (2, 3):
         A = weyl(p, 1)
@@ -330,13 +689,25 @@ def test_sections_k0_and_negative():
 
 def test_sections_k1_n2():
     A = weyl(2, 2)
-    basis = global_twist_sections(1, 2, A)
-    monos = sorted(m for b in basis for m in b.terms)
     gens = [tuple(1 if j == i else 0 for j in range(4)) for i in range(4)]
-    assert monos == sorted([(0, 0, 0, 0)] + gens)
+    # bound 1 is below k * p^(n-1) = 2 but not below k, so it is complete
+    for bound in (2, 1):
+        basis = global_twist_sections(1, bound, A)
+        monos = sorted(m for b in basis for m in b.terms)
+        assert monos == sorted([(0, 0, 0, 0)] + gens)
 
 
 def test_sections_degree_bound_guard():
+    # incomplete exactly when degree_bound < k
     A = weyl(3, 1)
-    with pytest.raises(IncompleteSearchError):
-        global_twist_sections(2, 1, A)
+    for k in (-1, 0, 1, 2):
+        with pytest.raises(IncompleteSearchError):
+            global_twist_sections(k, k - 1, A)
+        assert len(global_twist_sections(k, k, A)) == len(_monomials(2, k))
+
+
+def test_sections_check_the_degree_law(monkeypatch):
+    A = weyl(2, 1)
+    monkeypatch.setattr(weylkit.norm, "twist_membership", lambda s, k, A: True)
+    with pytest.raises(InternalInconsistencyError, match="degree law"):
+        global_twist_sections(1, 2, A)
