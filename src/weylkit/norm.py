@@ -67,6 +67,11 @@ def det_poly(M: list[list[CommPoly]]) -> CommPoly:
     left as it is and keeps the pivot of its last update as its divisor
     `den`: its Bareiss row is row * prev / den, and update k divides by den
     in place of prev.
+
+    The pivot for column k is the entry with the fewest terms among the rows
+    not yet used, then the one in the shortest row.  Any row order gives
+    minors of M, so the bound holds; the first non-zero row instead lets a
+    few (5,1) determinants swell to 129-term numerators.
     """
     if not M:
         raise InternalInconsistencyError("empty matrix")
@@ -87,10 +92,17 @@ def det_poly(M: list[list[CommPoly]]) -> CommPoly:
                 for j, e in rows[i].items()}
 
     for k in range(size - 1):
-        if k not in rows[k]:
-            piv = next((r for r in range(k + 1, size) if k in rows[r]), None)
-            if piv is None:
-                return CommPoly.zero(p, nv, fam)
+        piv, best = None, None
+        for r in range(k, size):
+            e = rows[r].get(k)
+            if e is None:
+                continue
+            key = (len(e), len(rows[r]))
+            if best is None or key < best:
+                piv, best = r, key
+        if piv is None:
+            return CommPoly.zero(p, nv, fam)
+        if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
             dens[k], dens[piv] = dens[piv], dens[k]
             sign = -sign

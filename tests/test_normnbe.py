@@ -384,6 +384,27 @@ def test_det_poly_matches_tuple_bareiss(p, n, count, h):
         assert det_poly(M) == _det_bareiss_tuples(M)
 
 
+def test_det_poly_pivots_on_the_fewest_terms(monkeypatch):
+    # 4·g1² + 2·g1 + 4·g2² at (5,1): pivoting on the first non-zero row swells
+    # the minors to 129-term numerators and about 198,000 term products; the
+    # fewest-term pivot needs about 15,000 for the same 4-term determinant.
+    products = []
+    mul_sub = weylkit.norm.mul_sub
+
+    def counting(a, b, c, d, p):
+        products.append(len(a or ()) * len(b or ()) + len(c or ()) * len(d or ()))
+        return mul_sub(a, b, c, d, p)
+
+    monkeypatch.setattr(weylkit.norm, "mul_sub", counting)
+    A = weyl(5, 1)
+    s = NCPoly({(2, 0): 4, (1, 0): 2, (0, 2): 4}, 5)
+    M = left_mult_matrix(s, A)
+    det = det_poly(M)
+    assert sum(products) < 40_000
+    assert det == _det_bareiss_tuples(M)
+    assert reduced_norm(s, A).format() == "4 + 2*x1 + 4*x2^2 + 4*x1^2"
+
+
 def test_det_interpolation_cross_check():
     A = weyl(2, 1)
     for s in (A.presentation.gen(0), A.presentation.gen(1)):
