@@ -68,7 +68,6 @@ from .presentations import (
     associated_graded,
     check_confluence,
     commutator,
-    fuzz_reduction_order,
     hilbert_function,
     multiply,
     normal_form,

@@ -342,8 +342,7 @@ def _cmd_twist(config: JobConfig, rep: Report):
 def _cmd_sections(config: JobConfig, rep: Report):
     A = _weyl(config)
     k = int(config.params["k"])
-    default_bound = max(k * A.p ** (A.n - 1), 0)
-    bound = int(config.params.get("degree_bound", default_bound))
+    bound = int(config.params.get("degree_bound", max(k, 0)))
     basis = global_twist_sections(k, bound, A)
     rep.result["basis"] = [format_element(b, A.presentation) for b in basis]
     rep.result["dimension"] = len(basis)

@@ -52,21 +52,6 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution x of mat @ x = rhs over F_p, or None."""
-    mat = np.atleast_2d(np.array(mat, dtype=np.int64)) % p
-    rhs = np.array(rhs, dtype=np.int64) % p
-    aug = np.hstack([mat, rhs.reshape(-1, 1)])
-    r, pivots = rref(aug, p)
-    cols = mat.shape[1]
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, cols]
-    return x
-
-
 class Subspace:
     """A subspace of F_p^dim in canonical reduced row echelon form."""
 

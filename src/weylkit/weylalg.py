@@ -238,13 +238,3 @@ def pbw_monomials(ngens: int, max_exp: int):
     """All exponent vectors with entries in [0, max_exp)."""
     return [tuple(e) for e in itertools.product(range(max_exp), repeat=ngens)]
 
-
-def monomials_of_degree(ngens: int, d: int):
-    """All exponent vectors of total degree exactly d."""
-    if ngens == 1:
-        return [(d,)]
-    out = []
-    for first in range(d + 1):
-        for rest in monomials_of_degree(ngens - 1, d - first):
-            out.append((first,) + rest)
-    return out

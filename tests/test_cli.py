@@ -109,7 +109,7 @@ def test_run_sections():
     assert sorted(rep.result["basis"]) == ["1", "g1", "g2"]
 
 
-@pytest.mark.parametrize("p,n,k", [(7, 1, 1), (2, 2, 2)])
+@pytest.mark.parametrize("p,n,k", [(7, 1, 1), (2, 2, 2), (5, 2, 1)])
 def test_run_sections_degree_law(p, n, k):
     # the basis is the monomials of degree <= k, in graded-lex order
     rep, code = run(cfg("sections", p=p, n=n, params={"k": k}))

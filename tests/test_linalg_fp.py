@@ -12,9 +12,24 @@ from weylkit.cli import findim_preset
 from weylkit.errors import InvalidFormError
 from weylkit.findim import upper_triangular_algebra
 from weylkit.homology import FDModule, _restricted_action
-from weylkit.linalg_fp import Subspace, rank, solve
+from weylkit.linalg_fp import Subspace, rank, rref
 
 PRESETS = ["T2", "T3", "M2", "poly:4", "cyclic:6"]
+
+
+def solve(mat, rhs, p):
+    """One solution x of mat @ x = rhs over F_p, or None (the oracle)."""
+    mat = np.atleast_2d(np.array(mat, dtype=np.int64)) % p
+    rhs = np.array(rhs, dtype=np.int64) % p
+    aug = np.hstack([mat, rhs.reshape(-1, 1)])
+    r, pivots = rref(aug, p)
+    cols = mat.shape[1]
+    if cols in pivots:
+        return None
+    x = np.zeros(cols, dtype=np.int64)
+    for i, pc in enumerate(pivots):
+        x[pc] = r[i, cols]
+    return x
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Normal forms, confluence, Hilbert functions, associated graded."""
 
+import itertools
 import json
 import random
 
@@ -22,7 +23,6 @@ from weylkit.presentations import (
     associated_graded,
     check_confluence,
     commutator,
-    fuzz_reduction_order,
     hilbert_function,
     multiply,
     normal_form,
@@ -152,6 +152,107 @@ def test_commutator_chart_v_gb3():
     assert commutator(v, gb3, P) == want
 
 
+# -- the flat-word reducer: the oracle for check_confluence --------------------
+
+# A flat word is a product of single generators in written order.
+FlatWord = tuple[int, ...]
+
+
+def _flatten_monomial(m) -> FlatWord:
+    return tuple(i for i, e in enumerate(m) for _ in range(e))
+
+
+def _rewrite_at(P, w: FlatWord, t: int) -> dict[FlatWord, int]:
+    """One application of g_j g_i -> g_i g_j + c_ji at position t (w[t] > w[t+1])."""
+    j, i = w[t], w[t + 1]
+    out = {w[:t] + (i, j) + w[t + 2:]: 1}
+    for m, cc in P.commutator_rel(j, i).terms.items():
+        nw = w[:t] + _flatten_monomial(m) + w[t + 2:]
+        out[nw] = out.get(nw, 0) + cc
+    return out
+
+
+def _reduce_word_poly(P, terms, rng=None) -> dict[FlatWord, int]:
+    """Fully rewrite a word polynomial to sorted words.
+
+    The canonical strategy rewrites the leftmost inversion; passing an ``rng``
+    picks a random inversion instead.
+    """
+    pending = dict(terms)
+    done: dict[FlatWord, int] = {}
+    while pending:
+        w, c = pending.popitem()
+        c %= P.p
+        if not c:
+            continue
+        positions = [t for t in range(len(w) - 1) if w[t] > w[t + 1]]
+        if not positions:
+            done[w] = (done.get(w, 0) + c) % P.p
+            continue
+        t = positions[0] if rng is None else rng.choice(positions)
+        for nw, cc in _rewrite_at(P, w, t).items():
+            pending[nw] = (pending.get(nw, 0) + c * cc) % P.p
+    return {w: c for w, c in done.items() if c}
+
+
+def _word_poly_to_ncpoly(P, terms: dict[FlatWord, int]) -> NCPoly:
+    out = {}
+    for w, c in terms.items():
+        m = tuple(w.count(g) for g in range(P.ngens))
+        out[m] = out.get(m, 0) + c
+    return NCPoly(out, P.p)
+
+
+def flat_confluence(P):
+    """Overlaps resolved by the flat reducer: (passed, checked, discrepancies)."""
+    discrepancies = []
+    overlaps = list(itertools.combinations(range(P.ngens - 1, -1, -1), 3))
+    for w in overlaps:
+        route_a = _reduce_word_poly(P, _rewrite_at(P, w, 0))
+        route_b = _reduce_word_poly(P, _rewrite_at(P, w, 1))
+        diff = _word_poly_to_ncpoly(P, route_a) - _word_poly_to_ncpoly(P, route_b)
+        if not diff.is_zero():
+            discrepancies.append((w, diff))
+    return not discrepancies, len(overlaps), discrepancies
+
+
+def fuzz_reduction_order(P, word: FlatWord, trials: int, seed: int = 0) -> bool:
+    """Spot-check that random reduction orders agree with the canonical one
+    and with the PBW engine's normal form of the same word."""
+    canonical = _reduce_word_poly(P, {word: 1})
+    if _word_poly_to_ncpoly(P, canonical) != P.normal_form_word(tuple((g, 1) for g in word)):
+        return False
+    for t in range(trials):
+        rng = random.Random(seed * 1_000_003 + t)
+        if _reduce_word_poly(P, {word: 1}, rng) != canonical:
+            return False
+    return True
+
+
+def assert_confluence_matches_oracle(P):
+    report = check_confluence(P)
+    assert (report.passed, report.overlaps_checked, report.discrepancies) == flat_confluence(P)
+    return report
+
+
+def random_presentation(rng):
+    """3 or 4 generators; each relation is zero, a scalar or linear."""
+    p = rng.choice((2, 3, 5, 7))
+    ngens = rng.choice((3, 4))
+    zero = (0,) * ngens
+    linear = [zero] + [tuple(int(t == g) for t in range(ngens)) for g in range(ngens)]
+    relations = {}
+    for j in range(ngens):
+        for i in range(j):
+            kind = rng.choice(("zero", "scalar", "linear"))
+            if kind == "scalar":
+                relations[(j, i)] = NCPoly({zero: rng.randrange(1, p)}, p)
+            elif kind == "linear":
+                relations[(j, i)] = NCPoly({m: rng.randrange(p) for m in linear}, p)
+    names = tuple(f"g{g + 1}" for g in range(ngens))
+    return Presentation(names, p, relations)
+
+
 # -- confluence ---------------------------------------------------------------
 
 
@@ -190,6 +291,33 @@ def test_confluence_detects_jacobi_failure():
     assert overlap == (2, 1, 0)
     g3 = NCPoly({(0, 0, 1): 1}, 2)
     assert diff in (g3, -g3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2])
+def test_confluence_matches_flat_reducer_weyl_chart(p, n):
+    assert assert_confluence_matches_oracle(weyl(p, n)).passed
+    assert assert_confluence_matches_oracle(chart(p, n)).passed
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_confluence_jacobi_failure_matches_flat_reducer(p):
+    report = assert_confluence_matches_oracle(jacobi_violating_presentation(p))
+    assert report.discrepancies == [((2, 1, 0), NCPoly({(0, 0, 1): 1}, p))]
+
+
+def test_confluence_matches_flat_reducer_random():
+    rng = random.Random(2024)
+    verdicts = set()
+    for _ in range(240):
+        verdicts.add(assert_confluence_matches_oracle(random_presentation(rng)).passed)
+    assert verdicts == {True, False}
+
+
+def test_confluence_leaves_caches_cold():
+    for P in (weyl(3, 2), chart(3), jacobi_violating_presentation(5)):
+        check_confluence(P)
+        assert not P._mono_gen_cache and not P._mono_mul_cache
 
 
 def test_reduction_order_fuzz():

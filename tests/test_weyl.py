@@ -13,11 +13,21 @@ from weylkit.weylalg import (
     center_membership,
     chart_embedding_check,
     localized_weyl,
-    monomials_of_degree,
     standard_h,
     validate_symplectic,
     weyl_presentation,
 )
+
+
+def monomials_of_degree(ngens: int, d: int):
+    """All exponent vectors of total degree exactly d."""
+    if ngens == 1:
+        return [(d,)]
+    out = []
+    for first in range(d + 1):
+        for rest in monomials_of_degree(ngens - 1, d - first):
+            out.append((first,) + rest)
+    return out
 
 
 def test_standard_h_is_symplectic():
