@@ -80,26 +80,6 @@ from .weylalg import (
     weyl_presentation,
 )
 
-COMMANDS = (
-    "nf",
-    "mul",
-    "norm",
-    "symbol",
-    "diagram-check",
-    "ord",
-    "twist",
-    "sections",
-    "confluence",
-    "gr",
-    "chart-check",
-    "localring",
-    "radical",
-    "ext",
-    "grade",
-    "auslander",
-    "report-all",
-)
-
 AUSLANDER_NOTE = (
     "finite-dimensional probe; does not decide regularity of the "
     "infinite-dimensional algebras themselves"
@@ -140,7 +120,7 @@ def parse_config(text: str) -> JobConfig:
     if n not in SUPPORTED_N:
         raise ConfigError(f"field 'n': n must be one of {SUPPORTED_N}")
     command = data.get("command")
-    if command not in COMMANDS:
+    if command not in _DISPATCH:
         raise ConfigError(f"field 'command': unknown command {command!r}")
     h = data.get("h", "standard")
     if h != "standard":
@@ -254,7 +234,7 @@ def module_preset(name: str, A: FinDimAlgebra) -> FDModule:
         return FDModule.zero(A)
     if name == "top":
         _, proj, lift = semisimple_quotient(A)
-        return FDModule(A, proj @ A.mult_ops("left") @ lift.T % A.p, "left")
+        return FDModule(A, proj @ A.mult_ops("left") @ lift.T % A.p)
     raise ConfigError(f"unknown module preset {name!r}")
 
 
@@ -351,12 +331,9 @@ def _cmd_sections(config: JobConfig, rep: Report):
 
 def _cmd_confluence(config: JobConfig, rep: Report):
     target = config.params.get("algebra", "weyl")
-    if target == "weyl":
-        report = check_confluence(_weyl(config).presentation)
-        rep.add_check("confluence_passes", report.passed,
-                      f"overlaps={report.overlaps_checked}")
-    elif target == "chart":
-        report = check_confluence(_chart(config).presentation)
+    if target in ("weyl", "chart"):
+        build = _weyl if target == "weyl" else _chart
+        report = check_confluence(build(config).presentation)
         rep.add_check("confluence_passes", report.passed,
                       f"overlaps={report.overlaps_checked}")
     elif target == "jacobi-fail":

@@ -12,6 +12,29 @@ from .errors import InvalidFormError, InternalInconsistencyError
 NEG_INF = float("-inf")
 
 
+def format_terms(terms, names, prefix: str) -> str:
+    """c*v1^e1*v2*... summed in graded-lex order; variable i is names[i], or
+    prefix followed by i + 1 when names is None."""
+    if not terms:
+        return "0"
+    parts = []
+    for m in sorted(terms, key=lambda m: (sum(m), m)):
+        c = terms[m]
+        factors = []
+        for i, e in enumerate(m):
+            if not e:
+                continue
+            nm = names[i] if names else f"{prefix}{i + 1}"
+            factors.append(nm if e == 1 else f"{nm}^{e}")
+        if not factors:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append("*".join(factors))
+        else:
+            parts.append(f"{c}*" + "*".join(factors))
+    return " + ".join(parts)
+
+
 class CommPoly:
     __slots__ = ("terms", "p", "nvars", "family")
 
@@ -82,16 +105,6 @@ class CommPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e):
-        out = CommPoly.const(1, self.p, self.nvars, self.family)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, CommPoly)
@@ -135,24 +148,7 @@ class CommPoly:
         return self._like(out)
 
     def format(self, names=None):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=lambda m: (sum(m), m)):
-            c = self.terms[m]
-            factors = []
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                nm = names[i] if names else f"{self.family}{i + 1}"
-                factors.append(nm if e == 1 else f"{nm}^{e}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append(f"{c}*" + "*".join(factors))
-        return " + ".join(parts)
+        return format_terms(self.terms, names, self.family)
 
     def __repr__(self):
         return f"CommPoly({self.format()!r}, p={self.p})"

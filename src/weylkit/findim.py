@@ -10,17 +10,34 @@ from .errors import InvalidFormError, TooLargeError
 from .linalg_fp import Subspace
 
 ENUM_BUDGET = 1 << 16
+CHECK_BLOCK = 1 << 20  # array elements per block of check_representation
+
+
+def check_representation(ops, table, unit, p: int, product_error: str, unit_error: str):
+    """Check exactly that the matrices ops[i], one per basis element e_i of an
+    algebra with structure constants table, compose like the basis,
+    ops[i] @ ops[j] == sum_k table[i, j, k] ops[k], and that the unit acts as
+    the identity; raise InvalidFormError(product_error or unit_error) if not.
+
+    i runs in blocks of at most CHECK_BLOCK array elements (at least one i
+    per block), so d basis elements acting on F_p^m take O(d m^2) memory per
+    block instead of O(d^2 m^2)."""
+    d, m = ops.shape[:2]
+    step = max(1, CHECK_BLOCK // max(1, d * m * m))
+    for start in range(0, d, step):
+        block = slice(start, start + step)
+        lhs = ops[block, None] @ ops[None, :] % p
+        if np.any(lhs != np.einsum("ijk,kab->ijab", table[block], ops) % p):
+            raise InvalidFormError(product_error)
+    if np.any(np.einsum("i,iab->ab", unit, ops) % p != np.eye(m, dtype=np.int64)):
+        raise InvalidFormError(unit_error)
 
 
 class FinDimAlgebra:
     """A finite-dimensional associative unital algebra given by structure
-    constants: e_i e_j = sum_k table[i, j, k] e_k over F_p.
+    constants: e_i e_j = sum_k table[i, j, k] e_k over F_p."""
 
-    An optional central subalgebra is designated by a basis (rows); its
-    elements must commute with everything.
-    """
-
-    def __init__(self, table, unit, p: int, central_basis=None, name: str = ""):
+    def __init__(self, table, unit, p: int, name: str = ""):
         self.p = p
         self.table = np.array(table, dtype=np.int64) % p
         self.dim = self.table.shape[0]
@@ -31,24 +48,13 @@ class FinDimAlgebra:
         self._radical = None  # filled in by localring.jacobson_radical
         self._top = None  # filled in by localring.semisimple_quotient
         self._idempotents = None  # filled in by localring.primitive_central_idempotents
-        self._check_axioms()
-        if central_basis is not None:
-            self.central_basis = np.atleast_2d(np.array(central_basis, dtype=np.int64)) % p
-            commutators = self.mult_ops("left") - self.mult_ops("right")
-            if np.any(np.tensordot(self.central_basis, commutators, 1) % p):
-                raise InvalidFormError("designated subalgebra is not central")
-        else:
-            self.central_basis = None
-
-    def _check_axioms(self):
-        t = self.table
-        p = self.p
-        lhs = np.einsum("ijl,lkm->ijkm", t, t) % p
-        rhs = np.einsum("jkl,ilm->ijkm", t, t) % p
-        if np.any(lhs != rhs):
-            raise InvalidFormError("structure constants are not associative")
-        eye = np.eye(self.dim, dtype=np.int64)
-        if np.any(self.left_mult(self.unit) != eye) or np.any(self.right_mult(self.unit) != eye):
+        # on the left-regular stack the product law is associativity,
+        # (e_i e_j) e_l = e_i (e_j e_l), and the unit law is 1 x = x
+        check_representation(
+            self.mult_ops("left"), self.table, self.unit, p,
+            "structure constants are not associative", "unit laws fail",
+        )
+        if np.any(self.right_mult(self.unit) != np.eye(self.dim, dtype=np.int64)):
             raise InvalidFormError("unit laws fail")
 
     def mul(self, u, v) -> np.ndarray:
@@ -68,9 +74,6 @@ class FinDimAlgebra:
             )
         for coeffs in itertools.product(range(self.p), repeat=self.dim):
             yield np.array(coeffs, dtype=np.int64)
-
-    def subspace(self, vectors) -> Subspace:
-        return Subspace(vectors, self.dim, self.p)
 
     def subspace_product(self, U: Subspace, V: Subspace) -> Subspace:
         vecs = [self.mul(u, v) for u in U.basis for v in V.basis]

@@ -18,36 +18,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidFormError, TooLargeError
-from .findim import ENUM_BUDGET, FinDimAlgebra
+from .findim import ENUM_BUDGET, FinDimAlgebra, check_representation
 from .linalg_fp import Subspace, nullspace, rank, rref
 from .localring import jacobson_radical
 
 
 class FDModule:
-    """A left or right module given by one action matrix per algebra basis
-    element; matrices act on column vectors and compose like the algebra
-    (for right modules this is the natural left A^op action)."""
+    """A left module given by one action matrix per algebra basis element;
+    matrices act on column vectors and compose like the algebra.  A right
+    module is a left module over the opposite algebra."""
 
-    def __init__(self, A: FinDimAlgebra, action, side: str = "left"):
+    def __init__(self, A: FinDimAlgebra, action):
         self.A = A
         self.p = A.p
-        self.side = side
         self.action = np.array(action, dtype=np.int64) % A.p
         if self.action.ndim != 3 or self.action.shape[0] != A.dim:
             raise InvalidFormError("need one action matrix per basis element")
         self.dim = self.action.shape[1]
-        self._validate()
-
-    def _validate(self):
-        p = self.p
-        t = self.A.table if self.side == "left" else np.transpose(self.A.table, (1, 0, 2))
-        # e_i e_j = sum_k t[i, j, k] e_k must act as action[i] @ action[j]
-        lhs = self.action[:, None] @ self.action[None, :] % p
-        if np.any(lhs != np.einsum("ijk,kab->ijab", t, self.action) % p):
-            raise InvalidFormError("action does not respect the product")
-        unit_act = np.einsum("i,iab->ab", self.A.unit, self.action) % p
-        if self.dim and np.any(unit_act != np.eye(self.dim, dtype=np.int64)):
-            raise InvalidFormError("unit does not act as identity")
+        check_representation(
+            self.action, A.table, A.unit, A.p,
+            "action does not respect the product", "unit does not act as identity",
+        )
 
     def act(self, a) -> np.ndarray:
         return np.einsum("i,iab->ab", np.array(a) % self.p, self.action) % self.p
@@ -56,12 +47,12 @@ class FDModule:
         return self.dim == 0
 
     @classmethod
-    def regular(cls, A: FinDimAlgebra, side="left") -> "FDModule":
-        return cls(A, A.mult_ops(side), side)
+    def regular(cls, A: FinDimAlgebra) -> "FDModule":
+        return cls(A, A.mult_ops("left"))
 
     @classmethod
-    def zero(cls, A: FinDimAlgebra, side="left") -> "FDModule":
-        return cls(A, np.zeros((A.dim, 0, 0), dtype=np.int64), side)
+    def zero(cls, A: FinDimAlgebra) -> "FDModule":
+        return cls(A, np.zeros((A.dim, 0, 0), dtype=np.int64))
 
 
 def _block_action(A: FinDimAlgebra, r: int, side: str = "left") -> np.ndarray:
@@ -143,10 +134,6 @@ class Resolution:
     # generators[i] holds the chosen kernel generators as rows in F_p^{r_i d}
     generators: list[np.ndarray] = field(default_factory=list)
 
-    @property
-    def length(self) -> int:
-        return len(self.diffs)
-
     def check(self) -> bool:
         """d^2 = 0 and exactness at every computed stage, by rank counts."""
         p = self.A.p
@@ -166,8 +153,6 @@ class Resolution:
 def minimal_projective_resolution(M: FDModule, A: FinDimAlgebra, length: int) -> Resolution:
     """Free resolution on minimal generating sets, extended to the requested
     length (it stops early if a kernel vanishes)."""
-    if M.side != "left":
-        raise InvalidFormError("resolutions are computed for left modules")
     p = A.p
     d = A.dim
     if M.is_zero():

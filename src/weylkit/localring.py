@@ -4,7 +4,7 @@ Classification follows the demi / NAK / quasi hierarchy: one maximal
 two-sided ideal; Nakayama's lemma (m = rad); simple Artinian quotient.  For
 finite-dimensional algebras the three collapse (every maximal ideal contains
 the nilpotent radical), so the classifier returns either "not_demi" or
-"quasi"; the intermediate labels are still computed branch by branch.
+"quasi".
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .linalg_fp import Subspace, nullspace
 
 
 CROSS_CHECK_BUDGET = 1 << 10  # p^d ceiling of the maximal-left-ideal enumeration
+FIBER_K_MAX = 6  # powers of the ideal intersection probed by fiber_decomposability
 
 
 def _trace_functional(A: FinDimAlgebra, b, i: int) -> np.ndarray:
@@ -169,18 +170,14 @@ def maximal_two_sided_ideals(A: FinDimAlgebra) -> list[Subspace]:
 
 
 def classify_local(A: FinDimAlgebra) -> str:
-    """Return one of not_demi / demi / NAK / quasi."""
-    maxima = maximal_two_sided_ideals(A)
-    if len(maxima) != 1:
-        return "not_demi"
-    m = maxima[0]
-    rad = jacobson_radical(A)
-    if m != rad:
-        return "demi"
-    Abar, _, _ = semisimple_quotient(A)
-    if len(primitive_central_idempotents(Abar)) != 1:
-        return "NAK"
-    return "quasi"
+    """Return "quasi" if A has exactly one maximal two-sided ideal, else
+    "not_demi".
+
+    The maximal ideals are rad + (1 - e) A for the primitive central
+    idempotents e of A/rad.  With only one of them, e = 1 in A/rad, so that
+    ideal is rad itself (NAK) and A/rad is simple Artinian (quasi): the
+    demi and NAK labels never occur on their own."""
+    return "quasi" if len(maximal_two_sided_ideals(A)) == 1 else "not_demi"
 
 
 def idempotent_ideal_check(I: Subspace, A: FinDimAlgebra) -> bool:
@@ -219,14 +216,12 @@ def ideals_over(A: FinDimAlgebra, R_basis, mR: Subspace) -> list[Subspace]:
     return out
 
 
-def fiber_decomposability(
-    A: FinDimAlgebra, R_basis, mR: Subspace, k_max: int = 6
-):
+def fiber_decomposability(A: FinDimAlgebra, R_basis, mR: Subspace):
     """Probe the formally-completely-decomposable-fiber condition
-    (stabilized intersection of M_i^N inside (cap M_i)^k) up to k_max.
+    (stabilized intersection of M_i^N inside (cap M_i)^k) up to FIBER_K_MAX.
 
     Returns "indecomposable" (a single ideal over m_R), "decomposable", or
-    ("fails_at", k).  Finite k_max makes this a probe, not a proof.
+    ("fails_at", k).  The finite FIBER_K_MAX makes this a probe, not a proof.
     """
     maxima = ideals_over(A, R_basis, mR)
     if not maxima:
@@ -250,7 +245,7 @@ def fiber_decomposability(
     for M in maxima[1:]:
         D = D.intersect(M)
     Dk = D
-    for k in range(1, k_max + 1):
+    for k in range(1, FIBER_K_MAX + 1):
         if k > 1:
             Dk = A.subspace_product(Dk, D)
         if not Dk.contains_space(inter_stab):

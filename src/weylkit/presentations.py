@@ -29,6 +29,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
+from .commpoly import format_terms
 from .errors import (
     FiltrationError,
     MalformedPresentationError,
@@ -112,24 +113,7 @@ class NCPoly:
         return f"NCPoly({self.format()!r}, p={self.p})"
 
     def format(self, names: tuple[str, ...] | None = None) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=lambda m: (sum(m), m)):
-            c = self.terms[m]
-            factors = []
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                nm = names[i] if names else f"g{i + 1}"
-                factors.append(nm if e == 1 else f"{nm}^{e}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append(f"{c}*" + "*".join(factors))
-        return " + ".join(parts)
+        return format_terms(self.terms, names, "g")
 
 
 # A word is a product of generator powers in written (not normal) order.

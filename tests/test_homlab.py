@@ -1,6 +1,7 @@
 """Resolutions, Ext, grade, and Auslander-condition probes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,22 @@ def test_module_validation():
         FDModule(A, [[[1]], [[1]]])  # x acting as 1 breaks x^2 = 0
     with pytest.raises(InvalidFormError):
         FDModule(A, [[[0]], [[0]]])  # unit must act as identity
+
+
+def test_representation_checks_fit_in_32_mib():
+    """The exact product-law check runs in blocks over the basis, so M_7(F_2)
+    (d = 49) and its regular module validate without a d^4 array."""
+    tracemalloc.start()
+    try:
+        A = full_matrix_algebra(7, 2)
+        algebra_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        FDModule.regular(A)
+        module_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert algebra_peak < 32 * 2**20
+    assert module_peak < 32 * 2**20
 
 
 # -- resolutions --------------------------------------------------------------

@@ -88,11 +88,9 @@ def test_closure_matches_naive_loop(preset, p):
         )
         assert A.two_sided_ideal([v]) == naive_closure([v], two_sided, A.dim, p)
         for side in ("left", "right"):
-            M = FDModule.regular(A, side)
-            acts = lambda w: [X @ w for X in M.action]
-            assert Subspace([v], M.dim, p).closure(M.action) == naive_closure(
-                [v], acts, M.dim, p
-            )
+            ops = A.mult_ops(side)
+            acts = lambda w: [X @ w for X in ops]
+            assert Subspace([v], A.dim, p).closure(ops) == naive_closure([v], acts, A.dim, p)
 
 
 def test_closure_of_zero_and_whole_space():

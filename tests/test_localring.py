@@ -45,6 +45,28 @@ def test_algebra_axioms_checked():
         FinDimAlgebra(bad, good.unit, 2)
 
 
+def band_table(d, keep):
+    """e_i e_j = e_j (keep "right") or e_i (keep "left"): associative, with
+    every e_i a one-sided identity only."""
+    table = np.zeros((d, d, d), dtype=np.int64)
+    for i, j in itertools.product(range(d), repeat=2):
+        table[i, j, j if keep == "right" else i] = 1
+    return table
+
+
+def test_unit_laws_checked():
+    unit = unit_vec(2, 0)
+    # e_0 x = x for every x, but x e_0 = e_0: only the right unit law fails
+    with pytest.raises(InvalidFormError, match="unit laws fail"):
+        FinDimAlgebra(band_table(2, "right"), unit, 3)
+    # x e_0 = x, but e_0 x = e_0: the left unit law fails
+    with pytest.raises(InvalidFormError, match="unit laws fail"):
+        FinDimAlgebra(band_table(2, "left"), unit, 3)
+    T2 = upper_triangular_algebra(2, 2)
+    with pytest.raises(InvalidFormError, match="unit laws fail"):
+        FinDimAlgebra(T2.table, unit_vec(3, 0), 2)  # e11 alone is no unit
+
+
 # -- radical ------------------------------------------------------------------
 
 

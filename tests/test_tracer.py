@@ -1,0 +1,53 @@
+"""perfbench's tracer wraps weylkit's public names and puts them back.
+
+A traced name that is renamed or removed in src/ makes ``install`` raise, so
+it fails here instead of in a traced benchmark run."""
+
+import importlib.util
+import pathlib
+
+from weylkit import cli, commpoly, findim, homology, linalg_fp, localring, norm
+from weylkit import presentations, weylalg
+
+TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+MODULES = (cli, commpoly, findim, homology, linalg_fp, localring, norm, presentations, weylalg)
+CLASSES = (commpoly.CommPoly, presentations.Presentation, findim.FinDimAlgebra)
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bindings():
+    return {(owner, name): value for owner in MODULES + CLASSES for name, value in vars(owner).items()}
+
+
+def test_tracer_install_and_uninstall_restore_the_originals():
+    before = bindings()
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        wrapped = [
+            vars(findim.FinDimAlgebra)["elements"],
+            vars(findim.FinDimAlgebra)["two_sided_ideal"],
+            commpoly.exact_div,
+            norm.left_mult_matrix,
+            weylalg.localized_weyl,
+            vars(commpoly.CommPoly)["__mul__"],
+            vars(presentations.Presentation)["multiply"],
+        ]
+        assert all(hasattr(f, "__wrapped__") for f in wrapped)
+        rep, code = cli.run(cli.parse_config(
+            '{"p": 2, "n": 1, "command": "localring", "params": {"preset": "T2"}}'
+        ))
+        assert code == 0
+        assert tracer.calls["cli.run"] == 1
+        assert tracer.calls["localring.jacobson_radical"] >= 1
+    finally:
+        tracer.uninstall()
+    after = bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
