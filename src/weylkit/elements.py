@@ -2,9 +2,10 @@
 
 Grammar: sums of terms separated by '+' or '-'; each term is a '*'-separated
 product of integer coefficients and generator powers ``name^exp`` (exponents
-may be negative only on an invertible generator).  Generator names come from
-the presentation, e.g. g1..g4 for Weyl generators or u, v, gb3, gb4 on the
-boundary chart.
+may be negative only on an invertible generator, as in ``g1^-1``).  '-' is an
+operator, never part of a number: ``g2^2-1`` is ``g2^2 - 1`` and ``3*-2`` is
+-6.  Generator names come from the presentation, e.g. g1..g4 for Weyl
+generators or u, v, gb3, gb4 on the boundary chart.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import re
 from .errors import InvalidFormError
 from .presentations import NCPoly, Presentation
 
-_TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*|\^|-?\d+|[+\-*()])")
+_TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*|\^|\d+|[+\-*()])")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -54,7 +55,11 @@ def parse_element(text: str, P: Presentation) -> NCPoly:
                 continue
             if not expect_factor:
                 raise InvalidFormError(f"missing '*' before {tok!r}")
-            if re.fullmatch(r"-?\d+", tok):
+            if tok == "-":  # the sign of the next factor
+                coeff = -coeff
+                pos += 1
+                continue
+            if tok.isdigit():
                 coeff *= int(tok)
                 pos += 1
             elif tok in name_index:
@@ -62,10 +67,11 @@ def parse_element(text: str, P: Presentation) -> NCPoly:
                 e = 1
                 pos += 1
                 if pos < len(tokens) and tokens[pos] == "^":
-                    pos += 1
-                    if pos >= len(tokens) or not re.fullmatch(r"-?\d+", tokens[pos]):
+                    negative = tokens[pos + 1 : pos + 2] == ["-"]
+                    pos += 2 if negative else 1
+                    if pos >= len(tokens) or not tokens[pos].isdigit():
                         raise InvalidFormError("'^' must be followed by an integer")
-                    e = int(tokens[pos])
+                    e = -int(tokens[pos]) if negative else int(tokens[pos])
                     pos += 1
                 word.append((g, e))
             else:
@@ -79,13 +85,8 @@ def parse_element(text: str, P: Presentation) -> NCPoly:
     pending_sign = False
     while pos < len(tokens):
         tok = tokens[pos]
-        if tok == "+":
-            sign = 1
-            pending_sign = True
-            pos += 1
-            continue
-        if tok == "-":
-            sign = -1
+        if tok in ("+", "-"):
+            sign = -sign if tok == "-" else sign
             pending_sign = True
             pos += 1
             continue

@@ -9,7 +9,7 @@ import numpy as np
 from .errors import InvalidFormError, TooLargeError
 from .linalg_fp import Subspace
 
-ENUM_BUDGET = 1 << 16
+ENUM_BUDGET = 1 << 12  # p^d ceiling of every element or vector enumeration
 CHECK_BLOCK = 1 << 20  # array elements per block of check_representation
 
 
@@ -85,9 +85,10 @@ class FinDimAlgebra:
         return np.transpose(self.table, (0, 2, 1) if side == "left" else (1, 2, 0))
 
     def two_sided_ideal(self, vectors) -> Subspace:
-        """Closure of span(vectors) under left and right multiplication."""
-        ops = np.concatenate([self.mult_ops("left"), self.mult_ops("right")])
-        return Subspace(vectors, self.dim, self.p).closure(ops)
+        """A*V*A for V = span(vectors): the left closure A*V, then its right
+        closure, which is stable under left multiplication too."""
+        left = Subspace(vectors, self.dim, self.p).closure(self.mult_ops("left"))
+        return left.closure(self.mult_ops("right"))
 
     def is_nilpotent_subspace(self, I: Subspace) -> bool:
         cur = I

@@ -40,9 +40,6 @@ class FDModule:
             "action does not respect the product", "unit does not act as identity",
         )
 
-    def act(self, a) -> np.ndarray:
-        return np.einsum("i,iab->ab", np.array(a) % self.p, self.action) % self.p
-
     def is_zero(self):
         return self.dim == 0
 
@@ -90,11 +87,9 @@ def _minimal_generators(M: FDModule, rad: Subspace) -> list[np.ndarray]:
     the pool also holds the all-ones vector and a few seeded random ones).
     """
     p = M.p
-    radM = Subspace(
-        [M.act(r) @ v for r in rad.basis for v in np.eye(M.dim, dtype=np.int64)],
-        M.dim,
-        p,
-    )
+    # rad*M is spanned by the columns of the actions of the radical's basis
+    cols = np.einsum("ri,iab->rba", rad.basis, M.action).reshape(-1, M.dim)
+    radM = Subspace(cols, M.dim, p)
     rng = random.Random(0)
     candidates = [np.ones(M.dim, dtype=np.int64)] + list(
         np.eye(M.dim, dtype=np.int64)
@@ -114,7 +109,8 @@ def _minimal_generators(M: FDModule, rad: Subspace) -> list[np.ndarray]:
         for v in candidates:
             if cover.contains(v):
                 continue
-            closure = Subspace(list(N.basis) + [v % p], M.dim, p).closure(M.action)
+            # N is a submodule, so N + A*v is the submodule that N and v generate
+            closure = Subspace(np.vstack([N.basis, M.action @ v % p]), M.dim, p)
             if best is None or closure.dim > best_closure.dim:
                 best, best_closure = v % p, closure
         gens.append(best)
@@ -227,8 +223,6 @@ def ext_groups(M: FDModule, A: FinDimAlgebra, i: int, resolution: Resolution | N
     the dualized free resolution."""
     p = A.p
     d = A.dim
-    if M.is_zero():
-        return ExtResult(i, 0, np.zeros((d, 0, 0), dtype=np.int64), np.zeros((0, 0), dtype=np.int64))
     res = resolution or minimal_projective_resolution(M, A, i + 1)
     r_i = res.ranks[i] if i < len(res.ranks) else 0
     if r_i == 0:
@@ -244,21 +238,17 @@ def ext_groups(M: FDModule, A: FinDimAlgebra, i: int, resolution: Resolution | N
     else:
         delta_i = _dual_matrix(A, res.generators[i - 1], res.ranks[i - 1])
         img = rref(delta_i.T, p)[0]  # rows spanning the image
-    img_space = Subspace(img, r_i * d, p)
-    # quotient representatives: kernel vectors extending the image
-    reps = []
-    cur = img_space
-    for v in ker:
-        if not cur.contains(v):
-            reps.append(v % p)
-            cur = cur.add(Subspace([v], r_i * d, p))
-    reps = np.array(reps, dtype=np.int64) if reps else np.zeros((0, r_i * d), dtype=np.int64)
+    # quotient representatives: the kernel vectors that extend the image,
+    # taken in order, are the pivot columns past img of [img; ker]^T (the
+    # rows of img are independent, so each of its columns is a pivot)
+    n_img = img.shape[0]
+    pivots = rref(np.vstack([img, ker]).T, p)[1]
+    reps = ker[[c - n_img for c in pivots[n_img:]]]
     q = reps.shape[0]
     action = np.zeros((d, q, q), dtype=np.int64)
     if q:
         # the right action on ker / img, in the coordinates of reps
         span = np.vstack([img, reps])
-        n_img = img.shape[0]
         blocks = _block_action(A, r_i, "right")
         action = _restricted_action(blocks, span, p)[:, n_img:, n_img:]
     return ExtResult(i, q, action, reps)
@@ -294,13 +284,15 @@ def _cyclic_right_submodules(E: ExtResult, A: FinDimAlgebra):
     p = A.p
     q = E.dim
     if p**q > ENUM_BUDGET:
-        raise TooLargeError("cyclic submodule enumeration budget exceeded")
+        raise TooLargeError(
+            f"cyclic submodule enumeration: p^q = {p}**{q} exceeds the budget {ENUM_BUDGET}"
+        )
     seen = {}
     for coeffs in itertools.product(range(p), repeat=q):
         v = np.array(coeffs, dtype=np.int64)
         if not np.any(v):
             continue
-        span = Subspace([v], q, p).closure(E.action)
+        span = Subspace(E.action @ v % p, q, p)  # v*A, which contains v = v*1
         seen[span.key()] = span
     return list(seen.values())
 
@@ -322,16 +314,17 @@ def auslander_probe(A: FinDimAlgebra, M: FDModule, depth: int = 3) -> AuslanderR
     res = minimal_projective_resolution(M, A, depth + 1)
     Aop = A.opposite()
     checks = []
-    ok_all = True
     for i in range(depth + 1):
         E = ext_groups(M, A, i, res)
-        if E.dim == 0:
-            continue
         for N in _cyclic_right_submodules(E, A):
-            # the Ext action restricted to N, over the opposite algebra
-            Nmod = FDModule(Aop, _restricted_action(E.action, N.basis, A.p))
-            j = grade(Nmod, Aop, budget=max(depth, i))
-            ok = j >= i
-            checks.append((i, N.dim, j, ok))
-            ok_all = ok_all and ok
-    return AuslanderReport(ok_all, depth, checks)
+            if i == 0:
+                # Ext^0 = ker delta_1 lies in the free right module A^{r_0}
+                # (nothing to quotient by), so a coordinate projection is a
+                # non-zero map N -> A: grade N = 0
+                j = 0
+            else:
+                # the Ext action restricted to N, over the opposite algebra
+                Nmod = FDModule(Aop, _restricted_action(E.action, N.basis, A.p))
+                j = grade(Nmod, Aop, budget=max(depth, i))
+            checks.append((i, N.dim, j, j >= i))
+    return AuslanderReport(all(ok for *_, ok in checks), depth, checks)

@@ -82,16 +82,20 @@ class Subspace:
 
     def closure(self, ops) -> "Subspace":
         """The smallest subspace containing this one and stable under each
-        matrix in the stack ops (acting on column vectors)."""
+        matrix in the stack ops (acting on column vectors).
+
+        Precondition: ops[i] is the action of the basis element e_i of a
+        unital algebra A (the matrices compose like the basis and the unit
+        acts as the identity).  Then the images e_i s of the basis vectors s
+        span A*S, which contains S and is stable under every e_j, so one
+        pass, with no fixed-point loop, gives the closure."""
         ops = np.asarray(ops, dtype=np.int64)
-        span = self
-        while True:
-            images = (ops @ span.basis.T).transpose(0, 2, 1).reshape(-1, self.ambient_dim)
-            new = span._residues(images)
-            new = new[np.any(new, axis=1)]
-            if not new.size:
-                return span
-            span = Subspace(np.vstack([span.basis, new]), self.ambient_dim, self.p)
+        images = (ops @ self.basis.T).transpose(0, 2, 1).reshape(-1, self.ambient_dim)
+        new = self._residues(images)
+        new = new[np.any(new, axis=1)]
+        if not new.size:
+            return self
+        return Subspace(np.vstack([self.basis, new]), self.ambient_dim, self.p)
 
     def __eq__(self, other):
         return (

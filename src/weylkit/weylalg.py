@@ -85,11 +85,10 @@ def weyl_presentation(p: int, n: int, h=None) -> WeylAlgebra:
             c = h[j][i] % p  # c_ji = [g_j, g_i] = h_ji
             if c:
                 relations[(j, i)] = NCPoly({zero_mono: c}, p)
-    P = Presentation(names, p, relations)
-    report = check_confluence(P)
-    if not report.passed:
-        raise InternalInconsistencyError("Weyl presentation failed confluence")
-    return WeylAlgebra(p, n, h, P)
+    # No confluence check here: with scalar commutators both routes of the
+    # overlap g_k g_j g_i reduce to g_i g_j g_k + c_ji g_k + c_ki g_j + c_kj g_i
+    # for every h (the confluence command and the tests still run the check).
+    return WeylAlgebra(p, n, h, Presentation(names, p, relations))
 
 
 def chart_h_normal_form_check(h, p: int, n: int):

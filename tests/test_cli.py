@@ -3,6 +3,7 @@
 import itertools
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from child_process import run_weylkit
 from weylkit.cli import ConfigError, parse_config, run
 from weylkit.elements import format_element, parse_element
 from weylkit.errors import InvalidFormError
+from weylkit.findim import ENUM_BUDGET
 from weylkit.presentations import NCPoly
 from weylkit.weylalg import localized_weyl, weyl_presentation
 
@@ -36,9 +38,21 @@ def test_parse_element_inverse_power():
     assert parse_element("g1^-1*g1", P) == P.one()
 
 
+def test_parse_element_unspaced_minus():
+    P = weyl_presentation(3, 1).presentation
+    for unspaced, spaced in (("g1-2*g2", "g1 - 2*g2"), ("g2^2-1", "g2^2 - 1"), ("3-1", "3 - 1"),
+                             ("g1--g2", "g1 + g2"), ("2*-g1", "-2*g1"), ("g2*g1-g1*g2", "g2*g1 - g1*g2")):
+        assert parse_element(unspaced, P) == parse_element(spaced, P), unspaced
+    assert parse_element("3-1", P) == P.one().scale(2)
+    assert parse_element("g2*g1-g1*g2", P) == P.one().scale(-1)  # [g2, g1] = -1
+    L = localized_weyl(3, 1)
+    assert parse_element("g1^-1-g1^-1*g1", L) == parse_element("g1^-1 - 1", L)
+    assert parse_element("g1^ -2*g1^2", L) == L.one()
+
+
 def test_parse_element_errors():
     P = weyl_presentation(2, 1).presentation
-    for bad in ("", "g3", "g1 *", "^2", "g1 g2", "2 +"):
+    for bad in ("", "g3", "g1 *", "^2", "g1 g2", "2 +", "g1 -", "g1^-", "g1^-g2", "2*-"):
         with pytest.raises(InvalidFormError):
             parse_element(bad, P)
 
@@ -222,6 +236,24 @@ def test_exit_code_3_budget():
         }
     )
     assert proc.returncode == 3
+
+
+@pytest.mark.parametrize("module", ["top", "regular"])
+def test_auslander_enumeration_budget_exits_3_fast(module):
+    # Ext^0 of cyclic:10 at p = 3 has dimension 10, and 3^10 > ENUM_BUDGET
+    config = parse_config(json.dumps({
+        "p": 3, "n": 1, "command": "auslander",
+        "params": {"preset": "cyclic:10", "module": module},
+    }))
+    start = time.perf_counter()
+    rep, code = run(config)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    [check] = rep.checks
+    assert check["name"] == "budget" and not check["passed"]
+    assert check["detail"] == (
+        f"cyclic submodule enumeration: p^q = 3**10 exceeds the budget {ENUM_BUDGET}"
+    )
 
 
 # -- reproducibility ----------------------------------------------------------

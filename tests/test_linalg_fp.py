@@ -1,5 +1,12 @@
 """The F_p echelon-and-closure kernel: Subspace.contains, Subspace.closure,
-and the restricted action built on them."""
+and the restricted action built on them.
+
+closure takes one pass (the images of the basis under the stack, then one
+rref), which is the whole closure when the stack is the basis action of a
+unital algebra.  Its oracle is the fixed-point loop naive_closure, run on
+every kind of stack the library closes under: left and right regular
+actions, the two-sided closure, the action on each kernel of a free
+resolution and the right action on each Ext group."""
 
 import itertools
 
@@ -8,11 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylkit.cli import findim_preset
+from weylkit.cli import findim_preset, module_preset
 from weylkit.errors import InvalidFormError
 from weylkit.findim import upper_triangular_algebra
-from weylkit.homology import FDModule, _restricted_action
-from weylkit.linalg_fp import Subspace, rank, rref
+from weylkit.homology import (
+    FDModule,
+    _block_action,
+    _restricted_action,
+    ext_groups,
+    minimal_projective_resolution,
+)
+from weylkit.linalg_fp import Subspace, nullspace, rank, rref
 
 PRESETS = ["T2", "T3", "M2", "poly:4", "cyclic:6"]
 
@@ -91,6 +104,42 @@ def test_closure_matches_naive_loop(preset, p):
             ops = A.mult_ops(side)
             acts = lambda w: [X @ w for X in ops]
             assert Subspace([v], A.dim, p).closure(ops) == naive_closure([v], acts, A.dim, p)
+
+
+def module_stacks(A, M):
+    """The actions on the kernels of M's free resolution (submodules of free
+    modules) and the right actions on the non-zero Ext^i(M, A)."""
+    p = A.p
+    res = minimal_projective_resolution(M, A, 2)
+    kernels = [nullspace(D, p) for D in [res.eps] + res.diffs]
+    exts = [ext_groups(M, A, i, res) for i in range(len(res.ranks))]
+    kernel_actions = [
+        _restricted_action(_block_action(A, r), K, p)
+        for r, K in zip(res.ranks, kernels)
+        if K.shape[0]
+    ]
+    return kernel_actions, [E.action for E in exts if E.dim]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("preset", PRESETS)
+def test_closure_matches_naive_loop_on_kernel_and_ext_actions(preset, p):
+    A = findim_preset(preset, p)
+    rng = np.random.default_rng(A.dim * p)
+    kernel_stacks, ext_stacks = [], []
+    for mod in ("top", "regular"):
+        kernels, exts = module_stacks(A, module_preset(mod, A))
+        kernel_stacks += kernels
+        ext_stacks += exts
+    # M2 is semisimple, so its modules are projective and have no kernels
+    assert bool(kernel_stacks) == (preset != "M2") and ext_stacks
+    for ops in kernel_stacks + ext_stacks:
+        m = ops.shape[1]
+        acts = lambda w: [X @ w for X in ops]
+        starts = [[v] for v in np.eye(m, dtype=np.int64)]
+        starts += [list(rng.integers(0, p, size=(k, m))) for k in (1, 2)]
+        for vs in starts:
+            assert Subspace(vs, m, p).closure(ops) == naive_closure(vs, acts, m, p)
 
 
 def test_closure_of_zero_and_whole_space():

@@ -2,12 +2,14 @@
 
 import itertools
 import json
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_normnbe import random_h
 from weylkit import presentations
 from weylkit.cli import parse_config, run
 from weylkit.errors import (
@@ -257,10 +259,18 @@ def random_presentation(rng):
 
 
 def test_confluence_weyl_all_supported():
+    """weyl_presentation runs no confluence check of its own: scalar
+    commutators resolve every overlap for every h.  This is its oracle, on
+    the standard h and on random non-degenerate h at every (p, n)."""
+    rng = random.Random(5)
     for p in (2, 3, 5, 7):
         for n in (1, 2):
-            report = check_confluence(weyl(p, n))
-            assert report.passed and not report.discrepancies
+            for h in [None] + [random_h(p, n, rng) for _ in range(6)]:
+                P = weyl_presentation(p, n, h).presentation
+                report = check_confluence(P)
+                assert report.passed and not report.discrepancies, (p, n, h)
+                assert report.overlaps_checked == math.comb(2 * n, 3)
+                assert (report.passed, report.overlaps_checked, report.discrepancies) == flat_confluence(P)
 
 
 def test_confluence_chart_all_supported():
