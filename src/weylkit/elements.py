@@ -4,8 +4,9 @@ Grammar: sums of terms separated by '+' or '-'; each term is a '*'-separated
 product of integer coefficients and generator powers ``name^exp`` (exponents
 may be negative only on an invertible generator, as in ``g1^-1``).  '-' is an
 operator, never part of a number: ``g2^2-1`` is ``g2^2 - 1`` and ``3*-2`` is
--6.  Generator names come from the presentation, e.g. g1..g4 for Weyl
-generators or u, v, gb3, gb4 on the boundary chart.
+-6.  Parentheses are not supported: ``(g1+g2)*g1`` is rejected, and is
+written ``g1^2 + g2*g1``.  Generator names come from the presentation, e.g.
+g1..g4 for Weyl generators or u, v, gb3, gb4 on the boundary chart.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ import re
 from .errors import InvalidFormError
 from .presentations import NCPoly, Presentation
 
-_TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*|\^|\d+|[+\-*()])")
+_TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*|\^|\d+|[+\-*])")
 
 
 def _tokenize(text: str) -> list[str]:
+    if "(" in text or ")" in text:
+        raise InvalidFormError(f"parentheses are not supported in element expressions: {text!r}")
     out = []
     pos = 0
     while pos < len(text):

@@ -224,11 +224,17 @@ def ext_groups(M: FDModule, A: FinDimAlgebra, i: int, resolution: Resolution | N
     p = A.p
     d = A.dim
     res = resolution or minimal_projective_resolution(M, A, i + 1)
+    stop = len(res.generators)  # the last stage P_stop the resolution reaches
+    if res.ranks and i > stop and nullspace(res.diffs[-1] if stop else res.eps, p).shape[0]:
+        raise InvalidFormError(
+            f"Ext^{i} needs the resolution to stage {i}, but it has length {stop} "
+            f"and a non-zero kernel at stage {stop}"
+        )
     r_i = res.ranks[i] if i < len(res.ranks) else 0
     if r_i == 0:
         return ExtResult(i, 0, np.zeros((d, 0, 0), dtype=np.int64), np.zeros((0, 0), dtype=np.int64))
     # delta_{i+1}: Hom(P_i, A) -> Hom(P_{i+1}, A)
-    if i < len(res.generators):
+    if i < stop:
         delta_next = _dual_matrix(A, res.generators[i], r_i)
         ker = nullspace(delta_next, p)
     else:

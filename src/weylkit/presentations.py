@@ -9,8 +9,17 @@ over the prime field F_p, together with a relation table ``c[(j, i)]`` (for
 Elements are kept in PBW normal form: every monomial is an exponent vector,
 read as the product of generators in increasing index order.  At most one
 generator may be marked invertible, in which case its exponent may be
-negative; the commutation rule for the inverse is derived on the fly and
-requires the relevant relations to be scalar.
+negative.
+
+Products run on one of two engines, chosen once from the relation table.
+When every c_ji is a scalar (the Weyl algebra and its localization), the
+product of two monomials is Wick's closed form (``Presentation._wick_mul``).
+Otherwise (the boundary chart) it is built from one-step reductions
+g_j g_i -> g_i g_j + c_ji, one generator at a time.  ``normal_form_word``
+always takes the one-step route, whose g_k g_i^{-1} rule needs the
+commutators with the invertible generator to be scalar, and so does
+``check_confluence``, since the closed form presumes the associativity the
+check is there to establish.
 
 All values are immutable after construction, so polynomials and
 presentations may be shared freely.  A ``Presentation`` holds only its
@@ -169,6 +178,12 @@ class Presentation:
                 )
             rel[(j, i)] = c
         self.relations = rel
+        # (j, i, c_ji) when every commutator is a scalar: products then take
+        # the closed form; None sends them through one-step reductions.
+        zero = (0,) * self.ngens
+        self._wick: tuple[tuple[int, int, int], ...] | None = None
+        if all(set(c.terms) == {zero} for c in rel.values()):
+            self._wick = tuple((j, i, c.terms[zero]) for (j, i), c in sorted(rel.items()))
         self._mono_gen_cache: dict[tuple[Monomial, int, int], NCPoly] = {}
         self._mono_mul_cache: dict[tuple[Monomial, Monomial], NCPoly] = {}
 
@@ -267,16 +282,56 @@ class Presentation:
                 out[mm] = out.get(mm, 0) + c * cc
         return NCPoly(out, self.p)
 
+    def _wick_mul(self, a: Monomial, b: Monomial, steps: Steps) -> NCPoly:
+        """g^a * g^b by Wick's theorem when every c_ji is a scalar.
+
+        Each term contracts k_ji of a's g_j with k_ji of b's g_i (j > i),
+        giving g^(a + b - r - s) with r_j = sum_i k_ji and s_i = sum_j k_ji.
+        Taking the pairs in turn, a pair with x of a's g_j and y of b's g_i
+        still free contributes C(x, k) (y)_k c_ji^k, where (y)_k is the
+        falling factorial.  (y)_k is divisible by k!, so only k < p
+        survives mod p, and then C(x, k) = (x)_k / k! in F_p.  For x, y >= 0
+        the factor vanishes past min(x, y); a negative exponent on the
+        invertible generator is bounded by the other side of its pair.  The
+        states of free exponents merge across contraction matrices, since
+        what follows depends only on them.  Each non-zero term of a
+        contraction costs one rewrite step.
+        """
+        p = self.p
+        states = {(a, b): 1}
+        for j, i, c in self._wick:
+            if not a[j] or not b[i]:
+                continue
+            grown = dict(states)
+            for (fa, fb), t in states.items():
+                x, y = fa[j], fb[i]
+                for k in range(1, p):
+                    t = t * (x - k + 1) * (y - k + 1) * c * pow(k, -1, p) % p
+                    if not t:
+                        break
+                    next(steps)
+                    key = (fa[:j] + (x - k,) + fa[j + 1:], fb[:i] + (y - k,) + fb[i + 1:])
+                    grown[key] = grown.get(key, 0) + t
+            states = grown
+        out: dict[Monomial, int] = {}
+        for (fa, fb), t in states.items():
+            m = tuple(map(sum, zip(fa, fb)))
+            out[m] = out.get(m, 0) + t
+        return NCPoly(out, p)
+
     def _mono_mul(self, a: Monomial, b: Monomial, steps: Steps) -> NCPoly:
         key = (a, b)
         cached = self._mono_mul_cache.get(key)
         if cached is not None:
             return cached
-        result = NCPoly({a: 1}, self.p)
-        for i, e in enumerate(b):
-            sign = 1 if e >= 0 else -1
-            for _ in range(abs(e)):
-                result = self._poly_times_gen(result, i, sign, steps)
+        if self._wick is not None:
+            result = self._wick_mul(a, b, steps)
+        else:
+            result = NCPoly({a: 1}, self.p)
+            for i, e in enumerate(b):
+                sign = 1 if e >= 0 else -1
+                for _ in range(abs(e)):
+                    result = self._poly_times_gen(result, i, sign, steps)
         self._mono_mul_cache[key] = result
         return result
 
@@ -370,9 +425,13 @@ def check_confluence(P: Presentation) -> ConfluenceReport:
 
     The products run on a cold copy of ``P`` so that the check neither
     reads nor writes ``P``'s caches; both routes of one overlap share its
-    step budget.
+    step budget.  The copy takes one-step reductions even where ``P``
+    takes Wick's closed form: that form presumes the associativity the
+    check establishes, so with it every scalar presentation would pass
+    unexamined.
     """
     Q = Presentation(P.names, P.p, P.relations, P.weights, P.invertible)
+    Q._wick = None
     discrepancies = []
     checked = 0
     for k, j, i in itertools.combinations(range(Q.ngens - 1, -1, -1), 3):

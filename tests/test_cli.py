@@ -55,6 +55,9 @@ def test_parse_element_errors():
     for bad in ("", "g3", "g1 *", "^2", "g1 g2", "2 +", "g1 -", "g1^-", "g1^-g2", "2*-"):
         with pytest.raises(InvalidFormError):
             parse_element(bad, P)
+    for bad in ("(g1+g2)*g1", "g1*(g2)"):
+        with pytest.raises(InvalidFormError, match="parentheses are not supported"):
+            parse_element(bad, P)
 
 
 # -- parse_config -------------------------------------------------------------

@@ -186,6 +186,24 @@ def test_ext0_matches_hom_oracle():
         assert ext_groups(mod, alg, 0).dim == hom_module_dimension(mod, alg)
 
 
+def test_ext_rejects_a_resolution_short_of_stage_i():
+    # S2 over T2 has Ext^1 = 1; a length-0 resolution stops at P_0 with a
+    # non-zero kernel, and once read Ext^1 = 0
+    A, S1, S2 = t2_simples()
+    for i in (1, 2):
+        with pytest.raises(InvalidFormError, match=f"Ext\\^{i} .* length 0"):
+            ext_groups(S2, A, i, minimal_projective_resolution(S2, A, 0))
+    assert ext_groups(S2, A, 1, minimal_projective_resolution(S2, A, 2)).dim == 1
+    # poly:2 at p = 2 with its top module: a length-1 resolution gives Ext^0
+    B = findim_preset("poly:2", 2)
+    M = module_preset("top", B)
+    assert ext_groups(M, B, 0, minimal_projective_resolution(M, B, 1)).dim == 1
+    # a resolution that stops because its kernel vanished is complete
+    R = FDModule.regular(B)
+    assert [ext_groups(R, B, i, minimal_projective_resolution(R, B, 0)).dim
+            for i in range(3)] == [B.dim, 0, 0]
+
+
 def test_ext_t2_simples_derived_values():
     A, S1, S2 = t2_simples()
     assert [ext_groups(S1, A, i).dim for i in range(4)] == [2, 0, 0, 0]

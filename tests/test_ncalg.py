@@ -130,6 +130,58 @@ def test_multiply_bilinear():
         assert multiply(a, b + c, P) == multiply(a, b, P) + multiply(a, c, P)
 
 
+# -- the closed-form (Wick) product against one-step reductions ----------------
+
+
+def one_step_engine(P):
+    """A cold copy of P whose products run on one-step reductions."""
+    Q = Presentation(P.names, P.p, P.relations, P.weights, P.invertible)
+    Q._wick = None
+    return Q
+
+
+def random_wick_factor(P, rng):
+    """Two or three monomials with exponents up to p + 1, so that
+    contractions of order >= p and vanishing binomials occur; on the
+    localization g1 also takes exponents down to -(p + 1)."""
+    terms = {}
+    for _ in range(rng.randrange(2, 4)):
+        m = [rng.randrange(P.p + 2) for _ in range(P.ngens)]
+        if P.invertible is not None:
+            m[0] = rng.randrange(-P.p - 1, P.p + 2)
+        terms[tuple(m)] = rng.randrange(1, P.p)
+    return NCPoly(terms, P.p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2])
+def test_wick_product_matches_one_step_engine(p, n):
+    rng = random.Random(100 * p + n)
+    for h in (None, random_h(p, n, rng)):
+        for P in (weyl_presentation(p, n, h).presentation, localized_weyl(p, n, h)):
+            assert P._wick is not None
+            Q = one_step_engine(P)
+            for _ in range(4):
+                a, b = random_wick_factor(P, rng), random_wick_factor(P, rng)
+                assert P.multiply(a, b) == Q.multiply(a, b), (p, n, h, a, b)
+            assert not P._mono_gen_cache  # the closed form served every product
+
+
+def test_wick_multiply_budget(monkeypatch):
+    # g^a g^a with a = (5, 5, 5, 5) on the (3, 2) Weyl algebra: each of the
+    # pairs (g2, g1) and (g4, g3) contracts 0, 1 or 2 times (k = 3 vanishes
+    # mod 3), so 8 contraction terms besides the plain product
+    P = weyl(3, 2)
+    a = P.poly({(5, 5, 5, 5): 1})
+    want = one_step_engine(P).multiply(a, a)
+    assert len(want.terms) == 9
+    monkeypatch.setattr(presentations, "REWRITE_BUDGET", 7)
+    with pytest.raises(TooLargeError, match="multiply"):
+        P.multiply(a, a)
+    monkeypatch.setattr(presentations, "REWRITE_BUDGET", 8)
+    assert P.multiply(a, a) == want
+
+
 # -- commutator ---------------------------------------------------------------
 
 
@@ -328,6 +380,30 @@ def test_confluence_leaves_caches_cold():
     for P in (weyl(3, 2), chart(3), jacobi_violating_presentation(5)):
         check_confluence(P)
         assert not P._mono_gen_cache and not P._mono_mul_cache
+
+
+def test_confluence_takes_one_step_reductions(monkeypatch):
+    """The closed-form product presumes associativity, so a check that
+    resolved overlaps through it would pass every scalar presentation
+    without looking; the check must rewrite one generator at a time."""
+    misses = []
+    one_step = Presentation._mono_times_gen
+
+    def counting(self, m, i, sign, steps):
+        if (m, i, sign) not in self._mono_gen_cache:
+            misses.append((m, i, sign))
+        return one_step(self, m, i, sign, steps)
+
+    def closed_form(self, a, b, steps):
+        raise AssertionError("check_confluence used the closed-form product")
+
+    monkeypatch.setattr(Presentation, "_mono_times_gen", counting)
+    monkeypatch.setattr(Presentation, "_wick_mul", closed_form)
+    P = weyl(3, 2)
+    assert P._wick is not None
+    report = check_confluence(P)
+    assert report.passed and report.overlaps_checked == 4
+    assert misses
 
 
 def test_reduction_order_fuzz():
