@@ -11,15 +11,20 @@ read as the product of generators in increasing index order.  At most one
 generator may be marked invertible, in which case its exponent may be
 negative.
 
-Products run on one of two engines, chosen once from the relation table.
-When every c_ji is a scalar (the Weyl algebra and its localization), the
-product of two monomials is Wick's closed form (``Presentation._wick_mul``).
-Otherwise (the boundary chart) it is built from one-step reductions
+Products run on one of three engines, chosen once from the relation
+table.  When every c_ji is a scalar (the Weyl algebra and its
+localization), the product of two monomials is Wick's closed form
+(``Presentation._wick_mul``).  When the table is exactly the boundary
+chart's ([g1, g0] = g0^3, [g_j, g1] = -g0^2 g_j and [g_j, g_i] =
+kappa_ji g0^2 for i, j >= 2), it is the chart's closed form
+(``Presentation._chart_mul``): ad_v on powers of u, then Wick's sum on the
+gb block.  Any other table is rewritten by one-step reductions
 g_j g_i -> g_i g_j + c_ji, one generator at a time.  ``normal_form_word``
-always takes the one-step route, whose g_k g_i^{-1} rule needs the
-commutators with the invertible generator to be scalar, and so does
-``check_confluence``, since the closed form presumes the associativity the
-check is there to establish.
+always takes the one-step route at its top level (the relation products it
+calls for take the table's engine), and its g_k g_i^{-1} and g_k^{-1} g_i
+rules need the commutators with the invertible generator to be scalar.
+``check_confluence`` takes one-step reductions throughout, since the closed
+forms presume the associativity the check is there to establish.
 
 All values are immutable after construction, so polynomials and
 presentations may be shared freely.  A ``Presentation`` holds only its
@@ -178,14 +183,45 @@ class Presentation:
                 )
             rel[(j, i)] = c
         self.relations = rel
-        # (j, i, c_ji) when every commutator is a scalar: products then take
-        # the closed form; None sends them through one-step reductions.
+        # (j, i, c_ji) when every commutator is a scalar, else the chart's
+        # gb block when the table is the chart's: products then take that
+        # closed form.  With both None they take one-step reductions.
         zero = (0,) * self.ngens
         self._wick: tuple[tuple[int, int, int], ...] | None = None
+        self._chart: tuple[tuple[int, int, int], ...] | None = None
         if all(set(c.terms) == {zero} for c in rel.values()):
             self._wick = tuple((j, i, c.terms[zero]) for (j, i), c in sorted(rel.items()))
+        else:
+            self._chart = self._chart_table()
         self._mono_gen_cache: dict[tuple[Monomial, int, int], NCPoly] = {}
         self._mono_mul_cache: dict[tuple[Monomial, Monomial], NCPoly] = {}
+
+    def _chart_table(self) -> tuple[tuple[int, int, int], ...] | None:
+        """(j - 2, i - 2, kappa_ji) for 2 <= i < j when the table is exactly
+        the boundary chart's: c_10 = g0^3, c_j0 = 0 and c_j1 = -g0^2 g_j for
+        j >= 2, and c_ji = kappa_ji g0^2 among the rest; None otherwise.
+
+        Other coefficients in c_10 or c_j1 are not accepted: with
+        [g1, g0] = l g0^3 and [g_j, g1] = m_j g0^2 g_j the Jacobi identity
+        asks kappa_ji (m_i + m_j + 2l) = 0, so a table that passed under
+        them could still be non-associative.
+        """
+        rel = self.relations
+        if self.invertible is not None or (1, 0) not in rel:
+            return None
+        u2 = (2,) + (0,) * (self.ngens - 1)
+        want = {(1, 0): {(3,) + u2[1:]: 1}}
+        for j in range(2, self.ngens):
+            want[(j, 1)] = {u2[:j] + (1,) + u2[j + 1:]: self.p - 1}
+        if not want.keys() <= rel.keys():
+            return None
+        kappa = []
+        for (j, i), c in sorted(rel.items()):
+            if i >= 2 and set(c.terms) == {u2}:
+                kappa.append((j - 2, i - 2, c.terms[u2]))
+            elif c.terms != want.get((j, i)):
+                return None
+        return tuple(kappa)
 
     # -- basic constructors -------------------------------------------------
 
@@ -225,6 +261,18 @@ class Presentation:
 
     # -- core rewriting -----------------------------------------------------
 
+    def _inverse_rule_scalar(self, k: int, i: int) -> int:
+        """The scalar c_ki that an inverse rule between g_k and g_i needs;
+        a non-scalar c_ki raises ``UnsupportedError``."""
+        c = self.relations.get((k, i))
+        if c is None:
+            return 0
+        if any(any(mm) for mm in c.terms):
+            raise UnsupportedError(
+                "inverse rules require scalar commutators with the invertible generator"
+            )
+        return c.terms[(0,) * self.ngens]
+
     def _mono_times_gen(self, m: Monomial, i: int, sign: int, steps: Steps) -> NCPoly:
         """Normal form of (monomial m) * g_i**sign with sign in {+1, -1}."""
         key = (m, i, sign)
@@ -241,7 +289,7 @@ class Presentation:
             out = list(m)
             out[i] += sign
             result = NCPoly({tuple(out): 1}, self.p)
-        elif sign == 1:
+        elif sign == 1 and m[k] > 0:
             # m = m' * g_k with k > i;  g_k g_i = g_i g_k + c_ki
             mp = list(m)
             mp[k] -= 1
@@ -251,18 +299,20 @@ class Presentation:
             c = self.relations.get((k, i))
             if c is not None:
                 result = result + self._multiply(NCPoly({mp: 1}, self.p), c, steps)
+        elif sign == 1:
+            # m = m' * g_k^{-1} with g_k invertible, k > i, and nothing above
+            # g_k in m;  g_k^{-1} g_i = g_i g_k^{-1} - c g_k^{-2} for scalar c = c_ki
+            cval = self._inverse_rule_scalar(k, i)
+            mp = list(m)
+            mp[k] += 1
+            below = self._mono_times_gen(tuple(mp), i, 1, steps)
+            result = self._poly_times_gen(below, k, -1, steps)
+            if cval:
+                mp[k] -= 2
+                result = result + NCPoly({tuple(mp): -cval}, self.p)
         else:
             # g_k g_i^{-1} = g_i^{-1} g_k - c g_i^{-2} for scalar c = c_ki
-            c = self.relations.get((k, i))
-            cval = 0
-            if c is not None:
-                nonscalar = [mm for mm in c.terms if any(mm)]
-                if nonscalar:
-                    raise UnsupportedError(
-                        "inverse rules require scalar commutators with the "
-                        "invertible generator"
-                    )
-                cval = c.terms.get((0,) * self.ngens, 0)
+            cval = self._inverse_rule_scalar(k, i)
             mp = list(m)
             mp[k] -= 1
             mp = tuple(mp)
@@ -282,24 +332,29 @@ class Presentation:
                 out[mm] = out.get(mm, 0) + c * cc
         return NCPoly(out, self.p)
 
-    def _wick_mul(self, a: Monomial, b: Monomial, steps: Steps) -> NCPoly:
-        """g^a * g^b by Wick's theorem when every c_ji is a scalar.
+    def _contract(
+        self, pairs: tuple[tuple[int, int, int], ...], a: Monomial, b: Monomial, steps: Steps
+    ) -> dict[tuple[Monomial, Monomial], int]:
+        """Wick's sum for g^a * g^b over ``pairs`` (j, i, c), each a
+        commutator c_ji = c times something central in the generators it
+        pairs: the states (free exponents of a, free exponents of b) with
+        their weights, the central factors left to the caller.
 
         Each term contracts k_ji of a's g_j with k_ji of b's g_i (j > i),
-        giving g^(a + b - r - s) with r_j = sum_i k_ji and s_i = sum_j k_ji.
-        Taking the pairs in turn, a pair with x of a's g_j and y of b's g_i
-        still free contributes C(x, k) (y)_k c_ji^k, where (y)_k is the
-        falling factorial.  (y)_k is divisible by k!, so only k < p
-        survives mod p, and then C(x, k) = (x)_k / k! in F_p.  For x, y >= 0
-        the factor vanishes past min(x, y); a negative exponent on the
-        invertible generator is bounded by the other side of its pair.  The
-        states of free exponents merge across contraction matrices, since
-        what follows depends only on them.  Each non-zero term of a
-        contraction costs one rewrite step.
+        leaving g^(a - r) and g^(b - s) free, with r_j = sum_i k_ji and
+        s_i = sum_j k_ji.  Taking the pairs in turn, a pair with x of a's
+        g_j and y of b's g_i still free contributes C(x, k) (y)_k c_ji^k,
+        where (y)_k is the falling factorial.  (y)_k is divisible by k!, so
+        only k < p survives mod p, and then C(x, k) = (x)_k / k! in F_p.
+        For x, y >= 0 the factor vanishes past min(x, y); a negative
+        exponent on the invertible generator is bounded by the other side of
+        its pair.  The states merge across contraction matrices, since what
+        follows depends only on them.  Each non-zero term of a contraction
+        costs one rewrite step.
         """
         p = self.p
         states = {(a, b): 1}
-        for j, i, c in self._wick:
+        for j, i, c in pairs:
             if not a[j] or not b[i]:
                 continue
             grown = dict(states)
@@ -313,10 +368,72 @@ class Presentation:
                     key = (fa[:j] + (x - k,) + fa[j + 1:], fb[:i] + (y - k,) + fb[i + 1:])
                     grown[key] = grown.get(key, 0) + t
             states = grown
+        return states
+
+    def _wick_mul(self, a: Monomial, b: Monomial, steps: Steps) -> NCPoly:
+        """g^a * g^b by Wick's theorem when every c_ji is a scalar: the
+        contraction states of ``_contract``, each read as g^(a - r + b - s)."""
         out: dict[Monomial, int] = {}
-        for (fa, fb), t in states.items():
+        for (fa, fb), t in self._contract(self._wick, a, b, steps).items():
             m = tuple(map(sum, zip(fa, fb)))
             out[m] = out.get(m, 0) + t
+        return NCPoly(out, self.p)
+
+    def _chart_mul(self, a: Monomial, b: Monomial, steps: Steps) -> NCPoly:
+        """g^a * g^b in closed form on the boundary chart's table, with
+        u = g0, v = g1 and gb = (g2, ...): [v, u] = u^3, [gb_j, v] = -u^2 gb_j
+        and [gb_j, gb_i] = kappa_ji u^2.
+
+        Write a = (a0, a1, A), b = (b0, b1, B) and s = |A|.  Three rules
+        bring u^a0 v^a1 gb^A u^b0 v^b1 gb^B to normal order:
+
+        1. ad_v(u^z) = z u^(z+2), so
+           v^y u^z = sum_l C(y, l) prod_{t<l} (z + 2t) u^(z+2l) v^(y-l).
+        2. gb^A commutes with u, and gb^A v = (v - s u^2) gb^A.
+        3. gb^A gb^B is Wick's sum (``_contract``) with c_ji = kappa_ji u^2;
+           u^2 commutes with every gb, so a state with c = s - |A - r|
+           contractions carries u^(2c).
+
+        Since (v - s u^2) u^2 = u^2 (v - (s - 2) u^2), the factor
+        (v - s u^2)^b1 u^(2c) is u^(2c) (v - s' u^2)^b1 with s' = s - 2c,
+        and (v - s' u^2)^b1 = sum_k C(b1, k) prod_{t<k} (2t - s') u^(2k)
+        v^(b1-k) is rule 1 conjugated by u^s'.  Each of its terms then
+        folds v^a1 past u^(b0 + 2c + 2k) by rule 1.  A product that is zero
+        mod p stays zero as t grows, so each sum stops at its first zero.
+        Each non-zero term past the plain product costs one rewrite step.
+        """
+        p = self.p
+        a0, a1, A = a[0], a[1], a[2:]
+        b0, b1, B = b[0], b[1], b[2:]
+        s = sum(A)
+        binom_a = [math.comb(a1, m) % p for m in range(a1 + 1)]
+        binom_b = [math.comb(b1, k) % p for k in range(b1 + 1)]
+        out: dict[Monomial, int] = {}
+        for (fa, fb), w in self._contract(self._chart, A, B, steps).items():
+            c = s - sum(fa)
+            gb = tuple(map(sum, zip(fa, fb)))
+            beta = w % p
+            for k in range(b1 + 1):
+                if k:
+                    beta = beta * (2 * (k - 1) - s + 2 * c) % p
+                if not beta:
+                    break
+                if not binom_b[k]:
+                    continue
+                z = b0 + 2 * c + 2 * k
+                alpha = beta * binom_b[k] % p
+                for m in range(a1 + 1):
+                    if m:
+                        alpha = alpha * (z + 2 * (m - 1)) % p
+                    if not alpha:
+                        break
+                    t = alpha * binom_a[m] % p
+                    if not t:
+                        continue
+                    if k or m:
+                        next(steps)
+                    key = (a0 + z + 2 * m, a1 + b1 - k - m) + gb
+                    out[key] = out.get(key, 0) + t
         return NCPoly(out, p)
 
     def _mono_mul(self, a: Monomial, b: Monomial, steps: Steps) -> NCPoly:
@@ -326,6 +443,8 @@ class Presentation:
             return cached
         if self._wick is not None:
             result = self._wick_mul(a, b, steps)
+        elif self._chart is not None:
+            result = self._chart_mul(a, b, steps)
         else:
             result = NCPoly({a: 1}, self.p)
             for i, e in enumerate(b):
@@ -431,7 +550,7 @@ def check_confluence(P: Presentation) -> ConfluenceReport:
     unexamined.
     """
     Q = Presentation(P.names, P.p, P.relations, P.weights, P.invertible)
-    Q._wick = None
+    Q._wick = Q._chart = None
     discrepancies = []
     checked = 0
     for k, j, i in itertools.combinations(range(Q.ngens - 1, -1, -1), 3):

@@ -112,6 +112,13 @@ def boundary_chart_presentation(p: int, n: int, h=None) -> ChartAlgebra:
     Relations: [v,u] = u^3, [u,gb_i] = 0, [v,gb_i] = u^2 gb_i,
     [gb_i,gb_j] = h_ij u^2.  For n = 1 this degenerates to {u, v} with the
     single relation [v,u] = u^3.
+
+    The algebra is the iterated Ore extension k[u][v; d][gb; s, d], and the
+    presentation multiplies in closed form (``Presentation._chart_mul``):
+    v^b u^a through ad_v(u^z) = z u^(z+2), gb^A v = (v - |A| u^2) gb^A, and
+    the gb block by Wick's sum with h_ji u^2 as its commutators.  The
+    confluence check below still resolves every overlap by one-step
+    reductions, so it does not presume the associativity it establishes.
     """
     _check_params(p, n)
     h = standard_h(p, n) if h is None else validate_symplectic(h, p)

@@ -130,13 +130,13 @@ def test_multiply_bilinear():
         assert multiply(a, b + c, P) == multiply(a, b, P) + multiply(a, c, P)
 
 
-# -- the closed-form (Wick) product against one-step reductions ----------------
+# -- the closed-form products against one-step reductions ----------------------
 
 
 def one_step_engine(P):
     """A cold copy of P whose products run on one-step reductions."""
     Q = Presentation(P.names, P.p, P.relations, P.weights, P.invertible)
-    Q._wick = None
+    Q._wick = Q._chart = None
     return Q
 
 
@@ -180,6 +180,57 @@ def test_wick_multiply_budget(monkeypatch):
         P.multiply(a, a)
     monkeypatch.setattr(presentations, "REWRITE_BUDGET", 8)
     assert P.multiply(a, a) == want
+
+
+def random_chart_h(p, rng):
+    """A random h in the chart normal form at n = 2: (g1, g2) and (g3, g4)
+    each paired with random non-zero entries."""
+    x, y = rng.randrange(1, p), rng.randrange(1, p)
+    return ((0, x, 0, 0), (-x % p, 0, 0, 0), (0, 0, 0, y), (0, 0, -y % p, 0))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_chart_product_matches_one_step_engine(p, n):
+    """Exponents up to p + 2, so that C(y, l) vanishes by Lucas, the
+    products prod (z + 2t) reach a zero, and at p = 2 their parity decides
+    everything."""
+    rng = random.Random(100 * p + n)
+    for h in (None,) if n == 1 else (None, random_chart_h(p, rng)):
+        P = boundary_chart_presentation(p, n, h).presentation
+        assert P._chart is not None and P._wick is None
+        Q = one_step_engine(P)
+        for _ in range(8):
+            a, b = (
+                NCPoly({tuple(rng.randrange(p + 3) for _ in range(P.ngens)): rng.randrange(1, p)
+                        for _ in range(rng.randrange(2, 4))}, p)
+                for _ in "ab"
+            )
+            assert P.multiply(a, b) == Q.multiply(a, b), (p, n, h, a, b)
+        assert not P._mono_gen_cache  # the closed form served every product
+        # only the chart's own table selects the closed form
+        assert associated_graded(P, WeightFiltration((1,) * P.ngens))._chart is None
+        assert associated_graded(P, WeightFiltration(P.weights))._chart is not None
+    assert jacobi_violating_presentation(p)._chart is None
+    # nor does [v, u] = 2 u^3 (at n = 2 the Jacobi identity then fails)
+    P = chart(p, n)
+    relations = {**P.relations, (1, 0): P.relations[(1, 0)].scale(2)}
+    assert Presentation(P.names, p, relations, P.weights)._chart is None
+
+
+def test_chart_multiply_budget(monkeypatch):
+    # v^2 gb4^2 * u^2 v^2 gb3^2 on the (3, 2) chart forms 12 non-zero terms
+    # besides the plain product (2 contractions of gb4 with gb3, 10 from
+    # moving gb past v and v past u), and they merge into 5 monomials
+    P = chart(3)
+    a, b = P.poly({(0, 2, 0, 2): 1}), P.poly({(2, 2, 2, 0): 1})
+    want = one_step_engine(P).multiply(a, b)
+    assert len(want.terms) == 5
+    monkeypatch.setattr(presentations, "REWRITE_BUDGET", 11)
+    with pytest.raises(TooLargeError, match="multiply"):
+        P.multiply(a, b)
+    monkeypatch.setattr(presentations, "REWRITE_BUDGET", 12)
+    assert P.multiply(a, b) == want
 
 
 # -- commutator ---------------------------------------------------------------
@@ -383,9 +434,12 @@ def test_confluence_leaves_caches_cold():
 
 
 def test_confluence_takes_one_step_reductions(monkeypatch):
-    """The closed-form product presumes associativity, so a check that
-    resolved overlaps through it would pass every scalar presentation
-    without looking; the check must rewrite one generator at a time."""
+    """The closed-form products presume associativity, so a check that
+    resolved overlaps through them would pass every scalar presentation,
+    and every chart table, without looking; the check must rewrite one
+    generator at a time."""
+    W, C = weyl(3, 2), chart(3, 2)
+    assert W._wick is not None and C._chart is not None
     misses = []
     one_step = Presentation._mono_times_gen
 
@@ -399,11 +453,12 @@ def test_confluence_takes_one_step_reductions(monkeypatch):
 
     monkeypatch.setattr(Presentation, "_mono_times_gen", counting)
     monkeypatch.setattr(Presentation, "_wick_mul", closed_form)
-    P = weyl(3, 2)
-    assert P._wick is not None
-    report = check_confluence(P)
-    assert report.passed and report.overlaps_checked == 4
-    assert misses
+    monkeypatch.setattr(Presentation, "_chart_mul", closed_form)
+    for P in (W, C):
+        misses.clear()
+        report = check_confluence(P)
+        assert report.passed and report.overlaps_checked == 4
+        assert misses
 
 
 def test_reduction_order_fuzz():
@@ -468,6 +523,20 @@ def test_inverse_commutation_oracle():
         assert lhs == want
         # sanity: multiply back, g1 * (g1^{-1} g2) == g2
         assert P.multiply(P.gen(0), P.multiply(inv, g2)) == g2
+
+
+def test_inverse_rules_on_a_later_generator():
+    # with g2 invertible, g2^-1 g1 = g1 g2^-1 - c_21 g2^-2 and c_21 = -1
+    W = weyl(3)
+    P = Presentation(W.names, 3, W.relations, invertible=1)
+    want = P.poly({(1, -1): 1, (0, -2): 1})
+    assert P.multiply(P.gen(1, -1), P.gen(0)) == want
+    assert P.normal_form_word(((1, -1), (0, 1))) == want
+    assert P.multiply(P.gen(1), want) == P.gen(0)
+    # the rule needs a scalar c_21
+    Q = Presentation(("g1", "g2"), 3, {(1, 0): NCPoly({(1, 0): 1}, 3)}, invertible=1)
+    with pytest.raises(UnsupportedError, match="scalar commutators"):
+        Q.normal_form_word(((1, -1), (0, 1)))
 
 
 def test_negative_exponent_requires_invertible():
@@ -567,7 +636,7 @@ def test_normal_form_word_budget(monkeypatch):
 
 
 def test_multiply_budget(monkeypatch):
-    C = chart(3)
+    C = one_step_engine(chart(3))
     monkeypatch.setattr(presentations, "REWRITE_BUDGET", 100)
     with pytest.raises(TooLargeError, match="multiply"):
         C.multiply(C.gen(3, 4), C.poly({U_V_GB3: 1}))
@@ -583,9 +652,9 @@ def test_budget_charges_nested_products(monkeypatch, call, steps):
     # rewriting calls for; the call that caused them pays for all of them
     monkeypatch.setattr(presentations, "REWRITE_BUDGET", steps - 1)
     with pytest.raises(TooLargeError):
-        call(chart(3))
+        call(one_step_engine(chart(3)))
     monkeypatch.setattr(presentations, "REWRITE_BUDGET", steps)
-    call(chart(3))
+    call(one_step_engine(chart(3)))
 
 
 def test_confluence_budget_names_overlap(monkeypatch):
