@@ -96,7 +96,7 @@ class FinDimAlgebra:
             if cur.is_zero():
                 return True
             nxt = self.subspace_product(cur, I)
-            if nxt.dim == cur.dim and nxt == cur:
+            if nxt == cur:
                 return False
             cur = nxt
         return cur.is_zero()

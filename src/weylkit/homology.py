@@ -55,8 +55,10 @@ class FDModule:
 def _block_action(A: FinDimAlgebra, r: int, side: str = "left") -> np.ndarray:
     """Left (or right) multiplication by each basis element on A^r, as
     block-diagonal matrices on F_p^{r*d}."""
-    eye = np.eye(r, dtype=np.int64)
-    return np.stack([np.kron(eye, X) for X in A.mult_ops(side)])
+    d = A.dim
+    blocks = np.zeros((d, r, d, r, d), dtype=np.int64)
+    blocks[:, range(r), :, range(r), :] = A.mult_ops(side)  # the diagonal blocks
+    return blocks.reshape(d, r * d, r * d)
 
 
 def _cover_map(action: np.ndarray, gens: np.ndarray, p: int) -> np.ndarray:
@@ -82,37 +84,38 @@ def _restricted_action(action: np.ndarray, basis: np.ndarray, p: int) -> np.ndar
 def _minimal_generators(M: FDModule, rad: Subspace) -> list[np.ndarray]:
     """Greedy generating set: add vectors outside N + rad*M until N = M.
 
-    Each step picks the candidate whose cyclic closure covers the most of M
-    (coordinate vectors alone can miss e.g. the unit of a regular module, so
-    the pool also holds the all-ones vector and a few seeded random ones).
+    Each step picks the first candidate whose cyclic closure covers the most
+    of M (coordinate vectors alone can miss e.g. the unit of a regular
+    module, so the pool also holds the all-ones vector and a few seeded
+    random ones).  N + A*v has dimension at most min(dim M, dim N + dim A),
+    so the scan stops at the first closure that reaches that bound: no
+    later candidate can exceed it, and only a strictly larger closure
+    displaces the best, so the choice is the one the full scan makes.
     """
     p = M.p
     # rad*M is spanned by the columns of the actions of the radical's basis
     cols = np.einsum("ri,iab->rba", rad.basis, M.action).reshape(-1, M.dim)
     radM = Subspace(cols, M.dim, p)
     rng = random.Random(0)
-    candidates = [np.ones(M.dim, dtype=np.int64)] + list(
-        np.eye(M.dim, dtype=np.int64)
-    )
-    for _ in range(16):
-        candidates.append(
-            np.array([rng.randrange(p) for _ in range(M.dim)], dtype=np.int64)
-        )
+    randoms = [[rng.randrange(p) for _ in range(M.dim)] for _ in range(16)]
+    candidates = np.vstack([np.ones(M.dim), np.eye(M.dim), randoms]).astype(np.int64)
+    # images[c] spans A*v for the candidate v = candidates[c]
+    images = np.einsum("iab,cb->cia", M.action, candidates) % p
     gens: list[np.ndarray] = []
     N = Subspace([], M.dim, p)
     while True:
         cover = N.add(radM)
         if cover.dim == M.dim:
             return gens
-        best = None
-        best_closure = None
-        for v in candidates:
-            if cover.contains(v):
-                continue
+        bound = min(M.dim, N.dim + M.A.dim)
+        best = best_closure = None
+        for c in np.flatnonzero(np.any(cover._residues(candidates), axis=1)):
             # N is a submodule, so N + A*v is the submodule that N and v generate
-            closure = Subspace(np.vstack([N.basis, M.action @ v % p]), M.dim, p)
+            closure = N.extend(images[c])
             if best is None or closure.dim > best_closure.dim:
-                best, best_closure = v % p, closure
+                best, best_closure = candidates[c], closure
+                if closure.dim == bound:
+                    break
         gens.append(best)
         N = best_closure
 
@@ -137,11 +140,7 @@ class Resolution:
         for a, b in zip(mats, mats[1:]):
             if a.size and b.size and np.any(a @ b % p):
                 return False
-        for a, b in zip(mats, mats[1:]):
-            cols = a.shape[1]
-            ker = cols - (rank(a.T, p) if a.size else 0)
-            img = rank(b.T, p) if b.size else 0
-            if ker != img:
+            if a.shape[1] - rank(a.T, p) != rank(b.T, p):  # dim ker a = dim im b
                 return False
         return True
 
@@ -150,7 +149,6 @@ def minimal_projective_resolution(M: FDModule, A: FinDimAlgebra, length: int) ->
     """Free resolution on minimal generating sets, extended to the requested
     length (it stops early if a kernel vanishes)."""
     p = A.p
-    d = A.dim
     if M.is_zero():
         return Resolution(A, M, [], np.zeros((0, 0), dtype=np.int64))
     rad = jacobson_radical(A)
@@ -160,9 +158,7 @@ def minimal_projective_resolution(M: FDModule, A: FinDimAlgebra, length: int) ->
     prev_map = eps
     prev_rank = len(gens)
     for _ in range(length):
-        ker = nullspace(prev_map, p) if prev_map.size else np.eye(
-            prev_rank * d, dtype=np.int64
-        )
+        ker = nullspace(prev_map, p)
         if ker.shape[0] == 0:
             break
         free_act = _block_action(A, prev_rank)
@@ -225,9 +221,11 @@ def ext_groups(M: FDModule, A: FinDimAlgebra, i: int, resolution: Resolution | N
     d = A.dim
     res = resolution or minimal_projective_resolution(M, A, i + 1)
     stop = len(res.generators)  # the last stage P_stop the resolution reaches
-    if res.ranks and i > stop and nullspace(res.diffs[-1] if stop else res.eps, p).shape[0]:
+    # the cocycles at stage i are ker delta_{i+1}, so stage i + 1 must be
+    # there too, unless the kernel at stage stop vanishes (P_{stop+1} = 0)
+    if res.ranks and i >= stop and nullspace(res.diffs[-1] if stop else res.eps, p).shape[0]:
         raise InvalidFormError(
-            f"Ext^{i} needs the resolution to stage {i}, but it has length {stop} "
+            f"Ext^{i} needs the resolution to stage {i + 1}, but it has length {stop} "
             f"and a non-zero kernel at stage {stop}"
         )
     r_i = res.ranks[i] if i < len(res.ranks) else 0
@@ -237,7 +235,7 @@ def ext_groups(M: FDModule, A: FinDimAlgebra, i: int, resolution: Resolution | N
     if i < stop:
         delta_next = _dual_matrix(A, res.generators[i], r_i)
         ker = nullspace(delta_next, p)
-    else:
+    else:  # the resolution ends at P_i, so every cochain is a cocycle
         ker = np.eye(r_i * d, dtype=np.int64)
     if i == 0:
         img = np.zeros((0, r_i * d), dtype=np.int64)

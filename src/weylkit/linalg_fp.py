@@ -41,14 +41,12 @@ def rank(mat: np.ndarray, p: int) -> int:
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     """Basis (rows) of the right nullspace of mat over F_p."""
     mat = np.atleast_2d(np.array(mat, dtype=np.int64)) % p
-    rows, cols = mat.shape
+    cols = mat.shape[1]
     r, pivots = rref(mat, p)
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-r[i, fc]) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -r[:, free].T % p
     return basis
 
 
@@ -59,10 +57,7 @@ class Subspace:
         self.p = p
         self.ambient_dim = ambient_dim
         arr = np.atleast_2d(np.array(list(vectors), dtype=np.int64)) if len(vectors) else np.zeros((0, ambient_dim), dtype=np.int64)
-        if arr.size == 0:
-            self.basis, self.pivots = np.zeros((0, ambient_dim), dtype=np.int64), []
-        else:
-            self.basis, self.pivots = rref(arr, p)
+        self.basis, self.pivots = rref(arr, p)
 
     @property
     def dim(self) -> int:
@@ -90,20 +85,32 @@ class Subspace:
         span A*S, which contains S and is stable under every e_j, so one
         pass, with no fixed-point loop, gives the closure."""
         ops = np.asarray(ops, dtype=np.int64)
-        images = (ops @ self.basis.T).transpose(0, 2, 1).reshape(-1, self.ambient_dim)
-        new = self._residues(images)
+        return self.extend((ops @ self.basis.T).transpose(0, 2, 1).reshape(-1, self.ambient_dim))
+
+    def extend(self, rows) -> "Subspace":
+        """The span of the basis and rows, in canonical RREF (the basis and
+        pivots of Subspace(np.vstack([basis, rows]))).  Only the residues of
+        rows go through rref; they vanish on the old pivot columns, so
+        clearing the new pivot columns out of the old basis and merging the
+        rows by pivot gives the echelon form of the whole."""
+        new = self._residues(rows)
         new = new[np.any(new, axis=1)]
         if not new.size:
             return self
-        return Subspace(np.vstack([self.basis, new]), self.ambient_dim, self.p)
+        E, piv = rref(new, self.p)
+        B = (self.basis - self.basis[:, piv] @ E) % self.p
+        pivots = self.pivots + piv
+        order = np.argsort(pivots)
+        out = Subspace([], self.ambient_dim, self.p)
+        out.basis, out.pivots = np.vstack([B, E])[order], [pivots[i] for i in order]
+        return out
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.p == other.p
             and self.ambient_dim == other.ambient_dim
-            and self.basis.shape == other.basis.shape
-            and bool(np.all(self.basis == other.basis))
+            and np.array_equal(self.basis, other.basis)
         )
 
     def __hash__(self):
@@ -113,18 +120,13 @@ class Subspace:
         return self.basis.tobytes()
 
     def add(self, other: "Subspace") -> "Subspace":
-        return Subspace(
-            np.vstack([self.basis, other.basis]), self.ambient_dim, self.p
-        )
+        return self.extend(other.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        # Zassenhaus: nullspace of stacked [A; B]^T combination
-        if self.dim == 0 or other.dim == 0:
-            return Subspace([], self.ambient_dim, self.p)
-        stacked = np.vstack([self.basis, other.basis]).T  # dim x (r1+r2)
-        ns = nullspace(stacked, self.p)
-        vecs = [ (c[: self.dim] @ self.basis) % self.p for c in ns ]
-        return Subspace(vecs, self.ambient_dim, self.p)
+        # c in the nullspace of [B1; B2]^T gives c[:r1] @ B1 = -c[r1:] @ B2,
+        # and every vector of the intersection arises so
+        ns = nullspace(np.vstack([self.basis, other.basis]).T, self.p)
+        return Subspace(ns[:, : self.dim] @ self.basis % self.p, self.ambient_dim, self.p)
 
     def is_zero(self) -> bool:
         return self.dim == 0

@@ -165,7 +165,7 @@ def maximal_two_sided_ideals(A: FinDimAlgebra) -> list[Subspace]:
     for e in primitive_central_idempotents(Abar):
         # (1 - e) Abar, pulled back and summed with rad
         up = Abar.left_mult(Abar.unit - e).T @ lift % A.p
-        ideals.append(Subspace(np.vstack([rad.basis, up]), A.dim, A.p))
+        ideals.append(rad.extend(up))
     return ideals
 
 

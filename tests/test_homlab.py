@@ -1,11 +1,14 @@
 """Resolutions, Ext, grade, and Auslander-condition probes."""
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import weylkit.homology
+import weylkit.linalg_fp
 from weylkit.cli import findim_preset, module_preset
 from weylkit.errors import InvalidFormError
 from weylkit.findim import (
@@ -18,8 +21,10 @@ from weylkit.findim import (
 from weylkit.homology import (
     FDModule,
     GradeBound,
+    _block_action,
     _cyclic_right_submodules,
     _dual_matrix,
+    _minimal_generators,
     _restricted_action,
     auslander_probe,
     ext_groups,
@@ -28,6 +33,7 @@ from weylkit.homology import (
     minimal_projective_resolution,
 )
 from weylkit.linalg_fp import Subspace, nullspace, rref
+from weylkit.localring import jacobson_radical
 
 
 def trivial_module(A):
@@ -134,6 +140,26 @@ def test_resolution_poly2_period_one():
         assert np.array_equal(gens, x.reshape(1, 2))
 
 
+def test_resolution_feeds_rref_only_residues(monkeypatch):
+    # T3 at p = 2, top module, to length 5: row-reducing all of [N; A*v] for every
+    # candidate fed rref 680 rows; extending N by residues, with the scan
+    # stopped at its bound, feeds 163 (the radical is stored on A beforehand)
+    A = findim_preset("T3", 2)
+    M = module_preset("top", A)
+    rows = []
+    rref_ = weylkit.linalg_fp.rref
+
+    def counting(mat, p):
+        rows.append(np.shape(mat)[0])
+        return rref_(mat, p)
+
+    for module in (weylkit.linalg_fp, weylkit.homology):
+        monkeypatch.setattr(module, "rref", counting)
+    res = minimal_projective_resolution(M, A, 5)
+    assert res.ranks == [1] * 6 and res.check()
+    assert sum(rows) <= 340
+
+
 def test_resolution_exactness_zoo():
     A, S1, S2 = t2_simples()
     for M in (S1, S2, direct_sum(A, S1, S2)):
@@ -198,6 +224,9 @@ def test_ext_rejects_a_resolution_short_of_stage_i():
     B = findim_preset("poly:2", 2)
     M = module_preset("top", B)
     assert ext_groups(M, B, 0, minimal_projective_resolution(M, B, 1)).dim == 1
+    # and a length-0 one, which once read all of Hom(P_0, A): dim Ext^0 = 2
+    with pytest.raises(InvalidFormError, match="Ext\\^0 .* length 0"):
+        ext_groups(M, B, 0, minimal_projective_resolution(M, B, 0))
     # a resolution that stops because its kernel vanished is complete
     R = FDModule.regular(B)
     assert [ext_groups(R, B, i, minimal_projective_resolution(R, B, 0)).dim
@@ -332,8 +361,9 @@ def test_ext_reps_match_incremental_loop(preset, p):
     A = findim_preset(preset, p)
     for mod in ("top", "regular"):
         M = module_preset(mod, A)
-        res = minimal_projective_resolution(M, A, 3)
-        for i in range(len(res.ranks)):
+        # one stage past the degrees checked, so Ext^3 has its cocycles
+        res = minimal_projective_resolution(M, A, 4)
+        for i in range(min(len(res.ranks), 4)):
             img, ker = cocycles_and_coboundaries(A, res, i)
             reps = ext_groups(M, A, i, res).reps
             assert np.array_equal(reps, incremental_reps(img, ker, p)), (mod, i)
@@ -356,3 +386,51 @@ def test_auslander_ext0_checks_match_grade(preset, p):
             j = grade(FDModule(Aop, _restricted_action(E.action, N.basis, p)), Aop, budget=0)
             expected.append((0, N.dim, j, j >= 0))
         assert auslander_probe(A, M, 0).checks == expected, mod
+
+
+def exhaustive_generators(M, rad):
+    """Oracle: the greedy generator search with one Subspace built per
+    candidate at every step, and no early stop."""
+    p = M.p
+    cols = np.einsum("ri,iab->rba", rad.basis, M.action).reshape(-1, M.dim)
+    radM = Subspace(cols, M.dim, p)
+    rng = random.Random(0)
+    candidates = [np.ones(M.dim, dtype=np.int64)] + list(np.eye(M.dim, dtype=np.int64))
+    for _ in range(16):
+        candidates.append(np.array([rng.randrange(p) for _ in range(M.dim)], dtype=np.int64))
+    gens, N = [], Subspace([], M.dim, p)
+    while True:
+        cover = Subspace(np.vstack([N.basis, radM.basis]), M.dim, p)
+        if cover.dim == M.dim:
+            return gens
+        best = best_closure = None
+        for v in candidates:
+            if cover.contains(v):
+                continue
+            closure = Subspace(np.vstack([N.basis, M.action @ v % p]), M.dim, p)
+            if best is None or closure.dim > best_closure.dim:
+                best, best_closure = v % p, closure
+        gens.append(best)
+        N = best_closure
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("preset", ORACLE_PRESETS)
+def test_generator_search_matches_exhaustive_scan(preset, p):
+    """The same generators as the full scan, for each module and for the
+    kernel module at every stage of its resolution."""
+    A = findim_preset(preset, p)
+    rad = jacobson_radical(A)
+    for mod in ("top", "regular"):
+        M = module_preset(mod, A)
+        res = minimal_projective_resolution(M, A, 3)
+        assert np.array_equal(np.array(_minimal_generators(M, rad)), np.array(exhaustive_generators(M, rad))), mod
+        for t, (r, D) in enumerate(zip(res.ranks, [res.eps] + res.diffs)):
+            ker = nullspace(D, p)
+            if not ker.shape[0]:
+                continue
+            K = FDModule(A, _restricted_action(_block_action(A, r), ker, p))
+            expected = exhaustive_generators(K, rad)
+            assert np.array_equal(np.array(_minimal_generators(K, rad)), np.array(expected)), (mod, t)
+            if t < len(res.generators):
+                assert np.array_equal(res.generators[t], np.array(expected) @ ker % p), (mod, t)

@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylkit.cli import findim_preset, module_preset
@@ -70,6 +70,44 @@ def test_contains_agrees_with_rank(case):
     assert S.contains_space(Subspace([v], dim, p)) == expected
 
 
+@st.composite
+def subspace_and_rows(draw):
+    """A subspace (possibly zero) and rows to extend it by: random rows, zero
+    rows, combinations of its basis and coordinate vectors, so that results
+    in the span, strictly larger and of full rank all occur."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    dim = draw(st.integers(1, 6))
+    vector = st.lists(st.integers(0, p - 1), min_size=dim, max_size=dim)
+    S = Subspace(np.array(draw(st.lists(vector, max_size=5)), dtype=np.int64).reshape(-1, dim), dim, p)
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["random", "zero", "span", "unit"]), max_size=6)):
+        if kind == "random":
+            rows.append(draw(vector))
+        elif kind == "zero":
+            rows.append([0] * dim)
+        elif kind == "span":
+            coeffs = draw(st.lists(st.integers(0, p - 1), min_size=S.dim, max_size=S.dim))
+            rows.append(np.array(coeffs, dtype=np.int64) @ S.basis % p)
+        else:
+            rows.append(np.eye(dim, dtype=np.int64)[draw(st.integers(0, dim - 1))])
+    return S, np.array(rows, dtype=np.int64).reshape(-1, dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(subspace_and_rows())
+@example((Subspace([], 3, 2), np.array([[1, 0, 1], [1, 1, 0]])))  # from zero
+@example((Subspace([[1, 2, 0]], 3, 3), np.zeros((2, 3), dtype=np.int64)))  # zero rows
+@example((Subspace([[1, 2, 0], [0, 1, 4]], 3, 5), np.array([[2, 4, 0], [1, 3, 4]])))  # in the span
+@example((Subspace([[0, 1, 3]], 3, 7), np.eye(3, dtype=np.int64)))  # full rank
+def test_extend_matches_echelon_of_the_stack(case):
+    S, rows = case
+    expected = Subspace(np.vstack([S.basis, rows]), S.ambient_dim, S.p)
+    extended = S.extend(rows)
+    assert extended == expected and extended.pivots == expected.pivots
+    if expected.dim == S.dim:
+        assert extended is S
+
+
 def naive_closure(vectors, images, dim, p):
     """Reference fixed-point loop: add the images of every basis vector
     until the dimension stops growing."""
@@ -110,12 +148,14 @@ def module_stacks(A, M):
     """The actions on the kernels of M's free resolution (submodules of free
     modules) and the right actions on the non-zero Ext^i(M, A)."""
     p = A.p
-    res = minimal_projective_resolution(M, A, 2)
+    # stages 0..2, from a resolution one stage longer so Ext^2 has its cocycles
+    res = minimal_projective_resolution(M, A, 3)
+    ranks = res.ranks[:3]
     kernels = [nullspace(D, p) for D in [res.eps] + res.diffs]
-    exts = [ext_groups(M, A, i, res) for i in range(len(res.ranks))]
+    exts = [ext_groups(M, A, i, res) for i in range(len(ranks))]
     kernel_actions = [
         _restricted_action(_block_action(A, r), K, p)
-        for r, K in zip(res.ranks, kernels)
+        for r, K in zip(ranks, kernels)
         if K.shape[0]
     ]
     return kernel_actions, [E.action for E in exts if E.dim]
