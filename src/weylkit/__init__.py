@@ -45,7 +45,6 @@ from .localring import (
     idempotent_ideal_check,
     ideals_over,
     jacobson_radical,
-    maximal_left_ideals_brute,
     maximal_two_sided_ideals,
     radical_cross_check,
 )

@@ -38,6 +38,26 @@ def rank(mat: np.ndarray, p: int) -> int:
     return len(rref(mat, p)[1])
 
 
+def nonsingular(stack: np.ndarray, p: int) -> np.ndarray:
+    """Whether each square matrix of the stack is invertible over F_p, by one
+    Gaussian elimination run on the whole stack: column c of every matrix
+    takes its first non-zero entry at or below row c as pivot, swapped up to
+    row c, and a matrix with no such entry is singular."""
+    m = np.array(stack, dtype=np.int64) % p
+    n, d = m.shape[:2]
+    inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)])
+    every, ok = np.arange(n), np.ones(n, dtype=bool)
+    for c in range(d):  # only the block right of and below (c, c) is read later
+        nonzero = m[:, c:, c] != 0
+        ok &= nonzero.any(axis=1)
+        piv = c + nonzero.argmax(axis=1)
+        row = m[every, piv, c:]
+        m[every, piv, c:] = m[:, c, c:].copy()
+        row = row[:, 1:] * inverse[row[:, 0]][:, None] % p  # zero where no pivot
+        m[:, c + 1 :, c + 1 :] = (m[:, c + 1 :, c + 1 :] - m[:, c + 1 :, c, None] * row[:, None]) % p
+    return ok
+
+
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     """Basis (rows) of the right nullspace of mat over F_p."""
     mat = np.atleast_2d(np.array(mat, dtype=np.int64)) % p

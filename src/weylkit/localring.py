@@ -13,10 +13,12 @@ import numpy as np
 
 from .errors import TooLargeError, InternalInconsistencyError
 from .findim import FinDimAlgebra
-from .linalg_fp import Subspace, nullspace
+from .linalg_fp import Subspace, nonsingular, nullspace
 
 
-CROSS_CHECK_BUDGET = 1 << 10  # p^d ceiling of the maximal-left-ideal enumeration
+CROSS_CHECK_BUDGET = 1 << 10  # p^d ceiling of the unit table of radical_cross_check
+UNIT_BLOCK = 128  # left-regular matrices per batched elimination of the unit table
+WITNESS_BLOCK = 1 << 13  # entries of the products a x held at once by the witness search
 FIBER_K_MAX = 6  # powers of the ideal intersection probed by fiber_decomposability
 
 
@@ -61,47 +63,49 @@ def jacobson_radical(A: FinDimAlgebra) -> Subspace:
     return rad
 
 
-def maximal_left_ideals_brute(A: FinDimAlgebra) -> list[Subspace]:
-    """All maximal left ideals by enumerating left submodules of A; feasible
-    only for tiny algebras (p^d <= CROSS_CHECK_BUDGET)."""
-    if A.p**A.dim > CROSS_CHECK_BUDGET:
-        raise TooLargeError("left-ideal enumeration budget exceeded")
-    # A x is spanned by the e_i x (the columns of R_x), as A is unital; and
-    # A (u x) = A x whenever A u = A, so the u x of the u found so far are skipped
-    cyclic, seen, units = {}, set(), [np.eye(A.dim, dtype=np.int64)]
-    for x in A.elements():
-        if not np.any(x) or x.tobytes() in seen:
-            continue
-        ideal = Subspace(A.right_mult(x).T, A.dim, A.p)
-        cyclic[ideal.key()] = ideal
-        if ideal.dim == A.dim:
-            units.append(A.left_mult(x))
-        seen.update(y.tobytes() for y in np.array(units) @ x % A.p)
-    # close under sums; the zero ideal is the one maximal left ideal of a field
-    zero = Subspace([], A.dim, A.p)
-    ideals = {zero.key(): zero, **cyclic}
-    frontier = list(cyclic.values())
-    while frontier:
-        nxt = []
-        for I in frontier:
-            for J in cyclic.values():
-                s = I.add(J)
-                if s.key() not in ideals:
-                    ideals[s.key()] = s
-                    nxt.append(s)
-        frontier = nxt
-    proper = [I for I in ideals.values() if I.dim < A.dim]
-    return [I for I in proper if not any(J.dim > I.dim and J.contains_space(I) for J in proper)]
+def _combinations(basis: np.ndarray, p: int, codes: np.ndarray) -> np.ndarray:
+    """The elements c @ basis whose coefficient vectors c have the base-p
+    codes `codes`, digit k of a code being c_k."""
+    return codes[:, None] // p ** np.arange(len(basis)) % p @ basis % p
 
 
-def radical_cross_check(A: FinDimAlgebra) -> bool:
-    """rad(A) equals the intersection of all maximal left ideals."""
-    rad = jacobson_radical(A)
-    maxima = maximal_left_ideals_brute(A)
-    inter = Subspace(np.eye(A.dim, dtype=np.int64), A.dim, A.p)
-    for I in maxima:
-        inter = inter.intersect(I)
-    return inter == rad
+def radical_cross_check(A: FinDimAlgebra, rad: Subspace | None = None) -> bool:
+    """Whether rad (default: jacobson_radical(A)) is the Jacobson radical
+    J = {x : 1 - a x is a unit for every a} (Lam, A First Course in
+    Noncommutative Rings, Lemma 4.1), using nothing of how rad was computed.
+
+    1. rad <= J: rad is a left ideal and 1 - y is a unit for each y in rad.
+    2. J <= rad: each non-zero x in C, the span of the coordinate vectors
+       off rad's pivots, has a witness a in C with 1 - a x not a unit, so x
+       is not in J; as A = rad + C and rad <= J, J = rad + (J cap C) = rad.
+    3. If rad = J, a witness lies in C: for a = c + r with r in J, were
+       u = 1 - c x a unit, so would be 1 - a x = u (1 - u^-1 r x).
+    So the answer is True exactly when rad = J.  Units (non-singular
+    left-regular matrices) come from a table of all p^d elements by base-p
+    code, UNIT_BLOCK matrices per elimination; the a are tried WITNESS_BLOCK
+    product entries (or one a) at a time, and x leaves at its witness.
+    """
+    p, d = A.p, A.dim
+    if p**d > CROSS_CHECK_BUDGET:
+        raise TooLargeError("unit-table budget of the radical cross-check exceeded")
+    rad = jacobson_radical(A) if rad is None else rad
+    eye, place = np.eye(d, dtype=np.int64), p ** np.arange(d)
+
+    def left(a):  # row [k, j]: a_k e_j, the transposed left-regular matrix of a_k
+        return (a @ A.table.reshape(d, -1)).reshape(-1, d, d) % p
+
+    blocks = (np.arange(s, min(s + UNIT_BLOCK, p**d)) for s in range(0, p**d, UNIT_BLOCK))
+    units = np.concatenate([nonsingular(left(_combinations(eye, p, b)), p) for b in blocks])
+    ys = _combinations(rad.basis, p, np.arange(p**rad.dim))
+    if not rad.contains_space(rad.closure(A.mult_ops("left"))) or not units[(A.unit - ys) % p @ place].all():
+        return False
+    C = _combinations(eye[[c for c in range(d) if c not in rad.pivots]], p, np.arange(p ** (d - rad.dim)))
+    xs, start = C[1:], 0
+    while len(xs) and start < len(C):
+        chunk = max(1, WITNESS_BLOCK // (len(xs) * d))
+        xs = xs[units[(A.unit - xs @ left(C[start : start + chunk])) % p @ place].all(axis=0)]
+        start += chunk
+    return not len(xs)
 
 
 def primitive_central_idempotents(Abar: FinDimAlgebra):

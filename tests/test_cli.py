@@ -8,10 +8,11 @@ import time
 import pytest
 
 from child_process import run_weylkit
-from weylkit.cli import ConfigError, parse_config, run
+from weylkit.cli import ConfigError, findim_preset, parse_config, run
 from weylkit.elements import format_element, parse_element
 from weylkit.errors import InvalidFormError
 from weylkit.findim import ENUM_BUDGET
+from weylkit.localring import CROSS_CHECK_BUDGET
 from weylkit.presentations import NCPoly
 from weylkit.weylalg import localized_weyl, weyl_presentation
 
@@ -182,6 +183,22 @@ def test_radical_of_a_field(preset, p):
     rep, code = run(cfg("radical", p=p, params={"preset": preset}))
     assert code == 0 and rep.result["radical_dim"] == 0
     assert {c["name"]: c["passed"] for c in rep.checks}["radical_cross_check"]
+
+
+# the radical ops of the findim-homology benchmark battery, and the fields
+RADICAL_REPORTS = [("T2", 2), ("T3", 2), ("M2", 3), ("poly:4", 3), ("cyclic:6", 3), ("cyclic:10", 2),
+                   ("T3", 5), ("poly:8", 3), ("M2", 5), ("poly:4", 5), ("poly:8", 2)] + [
+    (field, p) for field in ("poly:1", "cyclic:1") for p in (2, 3, 5, 7)]
+
+
+@pytest.mark.parametrize("preset,p", RADICAL_REPORTS)
+def test_radical_cross_check_within_its_budget(preset, p):
+    # reports carry the cross-check exactly when p^d <= CROSS_CHECK_BUDGET
+    rep, code = run(cfg("radical", p=p, params={"preset": preset}))
+    checks = {c["name"]: c["passed"] for c in rep.checks}
+    assert code == 0
+    assert ("radical_cross_check" in checks) == (p ** findim_preset(preset, p).dim <= CROSS_CHECK_BUDGET)
+    assert all(checks.values())
 
 
 @pytest.mark.parametrize(

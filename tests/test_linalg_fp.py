@@ -25,7 +25,7 @@ from weylkit.homology import (
     ext_groups,
     minimal_projective_resolution,
 )
-from weylkit.linalg_fp import Subspace, nullspace, rank, rref
+from weylkit.linalg_fp import Subspace, nonsingular, nullspace, rank, rref
 
 PRESETS = ["T2", "T3", "M2", "poly:4", "cyclic:6"]
 
@@ -106,6 +106,38 @@ def test_extend_matches_echelon_of_the_stack(case):
     assert extended == expected and extended.pivots == expected.pivots
     if expected.dim == S.dim:
         assert extended is S
+
+
+@st.composite
+def square_stacks(draw):
+    """A stack of d x d matrices over F_p: random ones, and zero, identity
+    and rank-deficient ones (the last row a combination of the others), with
+    entries outside [0, p) too."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.integers(1, 6))
+    entries = st.lists(st.integers(-p, 2 * p), min_size=d * d, max_size=d * d)
+    stack = []
+    for kind in draw(st.lists(st.sampled_from(["random", "zero", "identity", "deficient"]), min_size=1, max_size=8)):
+        m = np.array(draw(entries), dtype=np.int64).reshape(d, d)
+        if kind == "zero":
+            m[:] = 0
+        elif kind == "identity":
+            m = np.eye(d, dtype=np.int64)
+        elif kind == "deficient":
+            coeffs = draw(st.lists(st.integers(0, p - 1), min_size=d - 1, max_size=d - 1))
+            m[-1] = np.array(coeffs, dtype=np.int64) @ m[:-1]
+        stack.append(m)
+    return p, d, np.array(stack)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_stacks())
+@example((2, 1, np.array([[[0]], [[1]], [[3]]])))  # d = 1
+@example((3, 2, np.array([[[1, 2], [2, 1]], [[1, 2], [2, 4]], [[0, 1], [1, 0]]])))  # singular, swap
+@example((7, 3, np.array([np.eye(3, dtype=np.int64), np.zeros((3, 3), dtype=np.int64)])))
+def test_nonsingular_agrees_with_rank(case):
+    p, d, stack = case
+    assert list(nonsingular(stack, p)) == [rank(m, p) == d for m in stack]
 
 
 def naive_closure(vectors, images, dim, p):

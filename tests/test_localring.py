@@ -1,6 +1,7 @@
 """Radicals, maximal ideals, local-ring taxonomy, adic and fiber probes."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylkit.cli import findim_preset
-from weylkit.errors import InvalidFormError
+from weylkit.errors import InvalidFormError, TooLargeError
 from weylkit.findim import (
     FinDimAlgebra,
     cyclic_group_algebra,
@@ -19,13 +20,13 @@ from weylkit.findim import (
 )
 from weylkit.linalg_fp import Subspace, nullspace, rref
 from weylkit.localring import (
+    CROSS_CHECK_BUDGET,
     adic_comparison,
     classify_local,
     fiber_decomposability,
     idempotent_ideal_check,
     ideals_over,
     jacobson_radical,
-    maximal_left_ideals_brute,
     maximal_two_sided_ideals,
     primitive_central_idempotents,
     radical_cross_check,
@@ -158,6 +159,39 @@ def test_radical_invariant_under_change_of_basis(name, p):
         assert jacobson_radical(B) == Subspace(rad.basis @ Q % p, A.dim, p)
 
 
+def maximal_left_ideals_brute(A: FinDimAlgebra) -> list[Subspace]:
+    """Oracle: all maximal left ideals by enumerating left submodules of A;
+    feasible only for tiny algebras (p^d <= CROSS_CHECK_BUDGET)."""
+    if A.p**A.dim > CROSS_CHECK_BUDGET:
+        raise TooLargeError("left-ideal enumeration budget exceeded")
+    # A x is spanned by the e_i x (the columns of R_x), as A is unital; and
+    # A (u x) = A x whenever A u = A, so the u x of the u found so far are skipped
+    cyclic, seen, units = {}, set(), [np.eye(A.dim, dtype=np.int64)]
+    for x in A.elements():
+        if not np.any(x) or x.tobytes() in seen:
+            continue
+        ideal = Subspace(A.right_mult(x).T, A.dim, A.p)
+        cyclic[ideal.key()] = ideal
+        if ideal.dim == A.dim:
+            units.append(A.left_mult(x))
+        seen.update(y.tobytes() for y in np.array(units) @ x % A.p)
+    # close under sums; the zero ideal is the one maximal left ideal of a field
+    zero = Subspace([], A.dim, A.p)
+    ideals = {zero.key(): zero, **cyclic}
+    frontier = list(cyclic.values())
+    while frontier:
+        nxt = []
+        for I in frontier:
+            for J in cyclic.values():
+                s = I.add(J)
+                if s.key() not in ideals:
+                    ideals[s.key()] = s
+                    nxt.append(s)
+        frontier = nxt
+    proper = [I for I in ideals.values() if I.dim < A.dim]
+    return [I for I in proper if not any(J.dim > I.dim and J.contains_space(I) for J in proper)]
+
+
 def maximal_left_ideals_by_closure(A):
     """Oracle: the keys of the maximal left ideals, from every cyclic left
     ideal found as the closure of span{x} under left multiplication."""
@@ -196,6 +230,65 @@ def test_radical_cross_check_small():
         cyclic_group_algebra(3, 6),
     ):
         assert radical_cross_check(A)
+
+
+def _cross_check_cases():
+    """Every algebra of the four families (the M2 and T3 presets among
+    them), and FxF, with p^d within CROSS_CHECK_BUDGET at p in {2, 3, 5, 7}."""
+    families = {
+        "poly": lambda k, p: truncated_polynomial_algebra(p, k),
+        "cyclic": lambda k, p: cyclic_group_algebra(p, k),
+        "M": full_matrix_algebra,
+        "T": upper_triangular_algebra,
+    }
+    for p in (2, 3, 5, 7):
+        for name, family in families.items():
+            k = 1
+            while p ** family(k, p).dim <= CROSS_CHECK_BUDGET:
+                yield pytest.param(family(k, p), id=f"{name}{k}@{p}")
+                k += 1
+        yield pytest.param(findim_preset("FxF", p), id=f"FxF@{p}")
+
+
+@pytest.mark.parametrize("A", _cross_check_cases())
+def test_radical_cross_check_matches_intersection_of_maximal_left_ideals(A):
+    inter = Subspace(np.eye(A.dim, dtype=np.int64), A.dim, A.p)
+    for I in maximal_left_ideals_brute(A):
+        inter = inter.intersect(I)
+    assert inter == jacobson_radical(A)
+    assert radical_cross_check(A)
+
+
+@pytest.mark.parametrize("A", _cross_check_cases())
+def test_radical_cross_check_rejects_other_subspaces(A):
+    rad, eye = jacobson_radical(A), np.eye(A.dim, dtype=np.int64)
+    for i in range(rad.dim):  # rad less one basis vector
+        assert not radical_cross_check(A, Subspace(np.delete(rad.basis, i, axis=0), A.dim, A.p))
+    for c in range(A.dim):  # rad plus one complement vector
+        if c not in rad.pivots:
+            assert not radical_cross_check(A, rad.extend(eye[[c]]))
+    if rad.dim:
+        assert not radical_cross_check(A, Subspace([], A.dim, A.p))
+    assert not radical_cross_check(A, Subspace(eye, A.dim, A.p))
+
+
+def test_radical_cross_check_budget():
+    with pytest.raises(TooLargeError, match="unit-table budget"):
+        radical_cross_check(findim_preset("T3", 5))  # 5^6 > CROSS_CHECK_BUDGET
+
+
+@pytest.mark.parametrize("name,p", [("cyclic:10", 2), ("M2", 5)])
+def test_radical_cross_check_memory(name, p):
+    # the unit table and the witness products are built in bounded blocks
+    A = findim_preset(name, p)
+    jacobson_radical(A)
+    tracemalloc.start()
+    try:
+        assert radical_cross_check(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_radical_nilpotent():
@@ -344,8 +437,6 @@ def test_idempotent_ideal_checks():
 def test_nak_equivalence_for_quasi_local():
     # for a unique maximal two-sided ideal: m = rad iff every maximal left
     # ideal contains m (both sides computed independently)
-    from weylkit.localring import maximal_left_ideals_brute
-
     for A in (
         truncated_polynomial_algebra(2, 3),
         full_matrix_algebra(2, 2),
