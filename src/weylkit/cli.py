@@ -90,6 +90,19 @@ class ConfigError(Exception):
     pass
 
 
+def _integer(value, field: str, least: int | None = None) -> int:
+    """int(value), or a ConfigError naming the config field when value is not
+    an integer or is below least."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or (least is not None and n < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigError(f"field {field!r}: {value!r} is not an integer{bound}")
+    return n
+
+
 class JobConfig:
     def __init__(self, p, n, h, command, params, seed, output):
         self.p = p
@@ -211,6 +224,8 @@ def _jacobi_fail_presentation(p: int) -> Presentation:
 
 
 def findim_preset(name: str, p: int) -> FinDimAlgebra:
+    """The preset T2, T3, M2, FxF, poly:<k> (F_p[x]/(x^k)) or cyclic:<k>
+    (F_p[C_k]), k >= 1."""
     if name == "T2":
         return upper_triangular_algebra(2, p)
     if name == "T3":
@@ -220,11 +235,10 @@ def findim_preset(name: str, p: int) -> FinDimAlgebra:
     if name == "FxF":
         one = truncated_polynomial_algebra(p, 1)
         return product_algebra(one, one)
-    if name.startswith("poly:"):
-        return truncated_polynomial_algebra(p, int(name.split(":")[1]))
-    if name.startswith("cyclic:"):
-        return cyclic_group_algebra(p, int(name.split(":")[1]))
-    raise ConfigError(f"unknown algebra preset {name!r}")
+    if isinstance(name, str) and name.startswith(("poly:", "cyclic:")):
+        build = truncated_polynomial_algebra if name.startswith("poly:") else cyclic_group_algebra
+        return build(p, _integer(name.split(":")[1], "preset", 1))
+    raise ConfigError(f"field 'preset': unknown algebra preset {name!r}")
 
 
 def module_preset(name: str, A: FinDimAlgebra) -> FDModule:
@@ -287,8 +301,8 @@ def _random_element(P: Presentation, rng: random.Random, max_degree: int) -> NCP
 
 def _cmd_diagram_check(config: JobConfig, rep: Report):
     A = _weyl(config)
-    trials = int(config.params.get("trials", 50))
-    max_degree = int(config.params.get("max_degree", 4))
+    trials = _integer(config.params.get("trials", 50), "trials", 0)
+    max_degree = _integer(config.params.get("max_degree", 4), "max_degree", 0)
     rng = random.Random(config.seed)
     passed = 0
     for _ in range(trials):
@@ -313,7 +327,7 @@ def _cmd_ord(config: JobConfig, rep: Report):
 def _cmd_twist(config: JobConfig, rep: Report):
     A = _weyl(config)
     s = parse_element(config.params["element"], A.presentation)
-    k = int(config.params["k"])
+    k = _integer(config.params["k"], "k")
     member = twist_membership(s, k, A)
     rep.result["member"] = member
     rep.add_check("twist_membership_computed", True, f"member={member}")
@@ -321,8 +335,8 @@ def _cmd_twist(config: JobConfig, rep: Report):
 
 def _cmd_sections(config: JobConfig, rep: Report):
     A = _weyl(config)
-    k = int(config.params["k"])
-    bound = int(config.params.get("degree_bound", max(k, 0)))
+    k = _integer(config.params["k"], "k")
+    bound = _integer(config.params.get("degree_bound", max(k, 0)), "degree_bound")
     basis = global_twist_sections(k, bound, A)
     rep.result["basis"] = [format_element(b, A.presentation) for b in basis]
     rep.result["dimension"] = len(basis)
@@ -380,6 +394,8 @@ def _cmd_gr(config: JobConfig, rep: Report):
     weights = config.params.get("weights", [1] * P.ngens)
     if weights == "u-adic":
         weights = [1] + [0] * (P.ngens - 1)
+    if not isinstance(weights, list) or not all(isinstance(w, int) for w in weights):
+        raise ConfigError("field 'weights': must be \"u-adic\" or a list of integers")
     G = associated_graded(P, WeightFiltration(tuple(weights)))
     rep.result["relations"] = _format_relations(G)
     rep.result["commutative"] = not G.relations
@@ -397,13 +413,15 @@ def _cmd_chart_check(config: JobConfig, rep: Report):
     rep.add_check("chart_relations_hold_for_some_orientation", report.passed)
 
 
-def _central_subring(A: FinDimAlgebra, name: str):
+def _central_subring(A: FinDimAlgebra, name: str, preset: str):
     if name == "prime-field":
         R_basis = [A.unit]
         mR = Subspace([], A.dim, A.p)
         return R_basis, mR
     if name == "squares":
-        # for F_p[x]/(x^k): the subring generated by x^2
+        # the subring generated by x^2, central only in F_p[x]/(x^k)
+        if not preset.startswith("poly:"):
+            raise ConfigError(f"field 'subring': 'squares' needs a poly:<k> preset, not {preset!r}")
         R_basis = [np.eye(A.dim, dtype=np.int64)[i] for i in range(0, A.dim, 2)]
         mR = Subspace(R_basis[1:], A.dim, A.p)
         return R_basis, mR
@@ -411,7 +429,9 @@ def _central_subring(A: FinDimAlgebra, name: str):
 
 
 def _cmd_localring(config: JobConfig, rep: Report):
-    A = findim_preset(config.params.get("preset", "T2"), config.p)
+    preset = config.params.get("preset", "T2")
+    A = findim_preset(preset, config.p)
+    R_basis, mR = _central_subring(A, config.params.get("subring", "prime-field"), preset)
     rad = jacobson_radical(A)
     maxima = maximal_two_sided_ideals(A)
     cls = classify_local(A)
@@ -424,8 +444,6 @@ def _cmd_localring(config: JobConfig, rep: Report):
         idempotent_ideal_check(M, A) for M in maxima
     ]
     rep.add_check("radical_nilpotent", A.is_nilpotent_subspace(rad))
-    subring = config.params.get("subring", "prime-field")
-    R_basis, mR = _central_subring(A, subring)
     fiber = fiber_decomposability(A, R_basis, mR)
     rep.result["fiber"] = (
         f"fails_at {fiber[1]}" if isinstance(fiber, tuple) else fiber
@@ -454,7 +472,7 @@ def _homlab_setup(config: JobConfig):
 
 def _cmd_ext(config: JobConfig, rep: Report):
     A, M = _homlab_setup(config)
-    i = int(config.params.get("i", 0))
+    i = _integer(config.params.get("i", 0), "i", 0)
     res = minimal_projective_resolution(M, A, i + 1)
     E = ext_groups(M, A, i, res)
     rep.result["algebra"] = A.name
@@ -468,7 +486,7 @@ def _cmd_ext(config: JobConfig, rep: Report):
 
 def _cmd_grade(config: JobConfig, rep: Report):
     A, M = _homlab_setup(config)
-    budget = int(config.params.get("budget", 4))
+    budget = _integer(config.params.get("budget", 4), "budget", 0)
     j = grade(M, A, budget)
     if j == float("inf"):
         rep.result["grade"] = "inf"
@@ -481,7 +499,7 @@ def _cmd_grade(config: JobConfig, rep: Report):
 
 def _cmd_auslander(config: JobConfig, rep: Report):
     A, M = _homlab_setup(config)
-    depth = int(config.params.get("depth", 3))
+    depth = _integer(config.params.get("depth", 3), "depth", 0)
     report = auslander_probe(A, M, depth)
     rep.result["algebra"] = A.name
     rep.result["depth"] = depth

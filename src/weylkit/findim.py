@@ -76,8 +76,21 @@ class FinDimAlgebra:
             yield np.array(coeffs, dtype=np.int64)
 
     def subspace_product(self, U: Subspace, V: Subspace) -> Subspace:
-        vecs = [self.mul(u, v) for u in U.basis for v in V.basis]
-        return Subspace(vecs, self.dim, self.p)
+        """U*V, the span of the products u v of the basis vectors."""
+        prods = np.einsum("ui,vj,ijk->uvk", U.basis, V.basis, self.table) % self.p
+        return Subspace(prods.reshape(-1, self.dim), self.dim, self.p)
+
+    def powers(self, I: Subspace):
+        """Yield I, I^2, ..., stopping after the first power P with P*I = P
+        (every later power equals it) or after dim + 2 powers, since a
+        subspace that is not an ideal need not have a chain that settles."""
+        power = I
+        for _ in range(self.dim + 2):
+            yield power
+            nxt = self.subspace_product(power, I)
+            if nxt == power:
+                return
+            power = nxt
 
     def mult_ops(self, side: str = "left") -> np.ndarray:
         """The stack of matrices of v |-> e_i v (side "left") or v |-> v e_i,
@@ -91,15 +104,7 @@ class FinDimAlgebra:
         return left.closure(self.mult_ops("right"))
 
     def is_nilpotent_subspace(self, I: Subspace) -> bool:
-        cur = I
-        for _ in range(self.dim + 1):
-            if cur.is_zero():
-                return True
-            nxt = self.subspace_product(cur, I)
-            if nxt == cur:
-                return False
-            cur = nxt
-        return cur.is_zero()
+        return any(P.is_zero() for P in self.powers(I))
 
     def opposite(self) -> "FinDimAlgebra":
         return FinDimAlgebra(

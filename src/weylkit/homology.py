@@ -217,6 +217,8 @@ def _dual_matrix(A: FinDimAlgebra, gens: np.ndarray, r_prev: int) -> np.ndarray:
 def ext_groups(M: FDModule, A: FinDimAlgebra, i: int, resolution: Resolution | None = None) -> ExtResult:
     """Ext^i_A(M, A) with its right-module structure, as the cohomology of
     the dualized free resolution."""
+    if i < 0:
+        raise InvalidFormError(f"Ext^{i} is undefined: i must be >= 0")
     p = A.p
     d = A.dim
     res = resolution or minimal_projective_resolution(M, A, i + 1)

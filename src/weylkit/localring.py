@@ -189,24 +189,11 @@ def idempotent_ideal_check(I: Subspace, A: FinDimAlgebra) -> bool:
     return A.subspace_product(I, I) == I
 
 
-def extend_to_algebra_ideal(A: FinDimAlgebra, mR: Subspace) -> Subspace:
-    """The ideal m_R A spanned by r*a for r in m_R and a in A."""
-    return A.subspace_product(mR, Subspace(np.eye(A.dim, dtype=np.int64), A.dim, A.p))
-
-
 def adic_comparison(A: FinDimAlgebra, m: Subspace, mR: Subspace):
     """Least k0 with m^{k0} contained in m_R A, or None if the powers
     stabilize without inclusion."""
-    J = extend_to_algebra_ideal(A, mR)
-    power = m
-    for k in range(1, A.dim + 3):
-        if J.contains_space(power):
-            return k
-        nxt = A.subspace_product(power, m)
-        if nxt == power:
-            return None
-        power = nxt
-    return None
+    mRA = mR.closure(A.mult_ops("right"))
+    return next((k for k, P in enumerate(A.powers(m), 1) if mRA.contains_space(P)), None)
 
 
 def ideals_over(A: FinDimAlgebra, R_basis, mR: Subspace) -> list[Subspace]:
@@ -232,26 +219,16 @@ def fiber_decomposability(A: FinDimAlgebra, R_basis, mR: Subspace):
         raise InternalInconsistencyError("no maximal ideal lies over m_R")
     if len(maxima) == 1:
         return "indecomposable"
-    # stabilize each M_i^N and intersect
-    stabilized = []
-    for M in maxima:
-        power = M
-        while True:
-            nxt = A.subspace_product(power, M)
-            if nxt == power:
-                break
-            power = nxt
-        stabilized.append(power)
+    # M_i^N is the last power of M_i: the powers of an ideal settle
+    stabilized = [list(A.powers(M))[-1] for M in maxima]
     inter_stab = stabilized[0]
     for S in stabilized[1:]:
         inter_stab = inter_stab.intersect(S)
     D = maxima[0]
     for M in maxima[1:]:
         D = D.intersect(M)
-    Dk = D
-    for k in range(1, FIBER_K_MAX + 1):
-        if k > 1:
-            Dk = A.subspace_product(Dk, D)
+    # once D fixes D^k, every later power equals it and answers alike
+    for k, Dk in zip(range(1, FIBER_K_MAX + 1), A.powers(D)):
         if not Dk.contains_space(inter_stab):
             return ("fails_at", k)
     return "decomposable"

@@ -120,9 +120,6 @@ class NCPoly:
     def __hash__(self):
         return hash((self.p, frozenset(self.terms.items())))
 
-    def monomials(self):
-        return sorted(self.terms)
-
     def __repr__(self):
         return f"NCPoly({self.format()!r}, p={self.p})"
 

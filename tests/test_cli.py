@@ -238,6 +238,42 @@ def test_exit_code_2_config_error():
     assert proc.returncode == 2
 
 
+MALFORMED_PARAMS = [
+    ("radical", {"preset": "poly:abc"}, "preset"),
+    ("radical", {"preset": "poly:0"}, "preset"),
+    ("radical", {"preset": "cyclic:-1"}, "preset"),
+    ("twist", {"element": "g1", "k": "x"}, "k"),
+    ("diagram-check", {"trials": "abc"}, "trials"),
+    ("diagram-check", {"trials": -1}, "trials"),
+    ("diagram-check", {"max_degree": -1}, "max_degree"),
+    ("ext", {"i": -1}, "i"),
+    ("grade", {"budget": -1}, "budget"),
+    ("auslander", {"depth": -1}, "depth"),
+    ("gr", {"weights": "x"}, "weights"),
+    ("localring", {"preset": "M2", "subring": "squares"}, "subring"),
+    ("localring", {"preset": "cyclic:4", "subring": "squares"}, "subring"),
+    ("localring", {"preset": "T2", "subring": "squares"}, "subring"),
+    ("localring", {"preset": "FxF", "subring": "squares"}, "subring"),
+]
+
+
+@pytest.mark.parametrize("command,params,field", MALFORMED_PARAMS, ids=[
+    f"{command}-" + ",".join(f"{k}={v}" for k, v in params.items()) for command, params, _ in MALFORMED_PARAMS
+])
+def test_malformed_params_exit_2(command, params, field):
+    proc = run_cli({"p": 2, "n": 1, "command": command, "params": params})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"config error: field {field!r}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_squares_subring_on_poly():
+    # the subring F_2[x^2] of F_2[x]/(x^4): m^2 = (x^2) lies in m_R A
+    rep, code = run(cfg("localring", params={"preset": "poly:4", "subring": "squares"}))
+    assert code == 0 and rep.result["adic_k0"] == 2
+
+
 def test_exit_code_1_module_error():
     # ord of a non-central element propagates as a failed report entry
     proc = run_cli({"p": 2, "n": 1, "command": "ord", "element": "g1"})

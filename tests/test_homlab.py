@@ -212,6 +212,12 @@ def test_ext0_matches_hom_oracle():
         assert ext_groups(mod, alg, 0).dim == hom_module_dimension(mod, alg)
 
 
+def test_ext_rejects_a_negative_degree():
+    A, S1, _ = t2_simples()
+    with pytest.raises(InvalidFormError, match="Ext\\^-1 is undefined"):
+        ext_groups(S1, A, -1)
+
+
 def test_ext_rejects_a_resolution_short_of_stage_i():
     # S2 over T2 has Ext^1 = 1; a length-0 resolution stops at P_0 with a
     # non-zero kernel, and once read Ext^1 = 0

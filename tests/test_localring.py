@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from weylkit.findim import (
 from weylkit.linalg_fp import Subspace, nullspace, rref
 from weylkit.localring import (
     CROSS_CHECK_BUDGET,
+    FIBER_K_MAX,
     adic_comparison,
     classify_local,
     fiber_decomposability,
@@ -516,3 +518,131 @@ def test_fiber_quasi_local_indecomposable():
     R_basis = [A.unit]
     mR = Subspace([], 3, 2)
     assert fiber_decomposability(A, R_basis, mR) == "indecomposable"
+
+
+# -- one power chain and one subspace product ---------------------------------
+# The per-pair product and the loops below are the ideal arithmetic as it was
+# written before FinDimAlgebra.subspace_product became one einsum and every
+# chain of powers went through FinDimAlgebra.powers; they are the oracles.
+
+
+def product_by_pairs(A, U, V):
+    return Subspace([A.mul(u, v) for u in U.basis for v in V.basis], A.dim, A.p)
+
+
+def is_nilpotent_by_loop(A, I):
+    cur = I
+    for _ in range(A.dim + 1):
+        if cur.is_zero():
+            return True
+        nxt = product_by_pairs(A, cur, I)
+        if nxt == cur:
+            return False
+        cur = nxt
+    return cur.is_zero()
+
+
+def adic_comparison_by_loop(A, m, mR):
+    J = product_by_pairs(A, mR, Subspace(np.eye(A.dim, dtype=np.int64), A.dim, A.p))
+    power = m
+    for k in range(1, A.dim + 3):
+        if J.contains_space(power):
+            return k
+        nxt = product_by_pairs(A, power, m)
+        if nxt == power:
+            return None
+        power = nxt
+    return None
+
+
+def fiber_decomposability_by_loops(A, R_basis, mR):
+    maxima = ideals_over(A, R_basis, mR)
+    if len(maxima) == 1:
+        return "indecomposable"
+    stabilized = []
+    for M in maxima:
+        power = M
+        while True:
+            nxt = product_by_pairs(A, power, M)
+            if nxt == power:
+                break
+            power = nxt
+        stabilized.append(power)
+    inter_stab = stabilized[0]
+    for S in stabilized[1:]:
+        inter_stab = inter_stab.intersect(S)
+    D = maxima[0]
+    for M in maxima[1:]:
+        D = D.intersect(M)
+    Dk = D
+    for k in range(1, FIBER_K_MAX + 1):
+        if k > 1:
+            Dk = product_by_pairs(A, Dk, D)
+        if not Dk.contains_space(inter_stab):
+            return ("fails_at", k)
+    return "decomposable"
+
+
+def non_ideal_subspaces(A, rng, count):
+    """Up to count random subspaces, from 100 draws, that are not two-sided
+    ideals."""
+    found = []
+    for _ in range(100):
+        S = Subspace(rng.integers(0, A.p, (rng.integers(1, A.dim + 1), A.dim)), A.dim, A.p)
+        if A.two_sided_ideal(S.basis) != S:
+            found.append(S)
+            if len(found) == count:
+                break
+    return found
+
+
+IDEAL_BATTERY = [f"poly:{k}" for k in (1, 2, 3, 4, 6)] + [f"cyclic:{k}" for k in (2, 3, 4, 6)] + [
+    "T2", "T3", "M2", "M3", "FxF", "poly:2xT2"
+]
+
+
+def battery_algebra(name, p):
+    if name == "M3":
+        return full_matrix_algebra(3, p)
+    if name == "poly:2xT2":
+        return product_algebra(findim_preset("poly:2", p), findim_preset("T2", p))
+    return findim_preset(name, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("name", IDEAL_BATTERY)
+def test_ideal_arithmetic_matches_the_pairwise_loops(name, p):
+    A = battery_algebra(name, p)
+    rng = np.random.default_rng([p, zlib.crc32(name.encode())])
+    zero = Subspace([], A.dim, p)
+    rad, maxima = jacobson_radical(A), maximal_two_sided_ideals(A)
+    others = non_ideal_subspaces(A, rng, 6)
+    assert len(others) == (0 if A.dim == 1 else 6)
+    spaces = [zero, Subspace(np.eye(A.dim, dtype=np.int64), A.dim, p), rad, *maxima, *others]
+    for U, V in itertools.product(spaces, repeat=2):
+        assert A.subspace_product(U, V) == product_by_pairs(A, U, V)
+    for S in spaces:
+        assert A.is_nilpotent_subspace(S) == is_nilpotent_by_loop(A, S)
+        assert idempotent_ideal_check(S, A) == (product_by_pairs(A, S, S) == S)
+        for mR in spaces:
+            assert adic_comparison(A, S, mR) == adic_comparison_by_loop(A, S, mR)
+    assert fiber_decomposability(A, [A.unit], zero) == fiber_decomposability_by_loops(A, [A.unit], zero)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_powers_of_a_chain_that_never_settles(p):
+    # in F_p[C_3], span(e_1)^k = span(e_{k mod 3}): no power is fixed by
+    # span(e_1), so only the bound of dim + 2 powers ends the chain
+    A = cyclic_group_algebra(p, 3)
+    V = Subspace([unit_vec(3, 1)], 3, p)
+    assert list(A.powers(V)) == [Subspace([unit_vec(3, k % 3)], 3, p) for k in range(1, 6)]
+    assert not A.is_nilpotent_subspace(V)
+
+
+def test_powers_stop_at_the_first_fixed_power():
+    A = truncated_polynomial_algebra(2, 4)
+    x = Subspace([unit_vec(4, 1)], 4, 2)
+    assert [P.dim for P in A.powers(x)] == [1, 1, 1, 0]  # x, x^2, x^3, 0
+    T2 = upper_triangular_algebra(2, 2)
+    M = Subspace([unit_vec(3, 0), unit_vec(3, 1)], 3, 2)  # M^2 = M
+    assert list(T2.powers(M)) == [M]
