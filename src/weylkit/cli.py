@@ -225,7 +225,7 @@ def _jacobi_fail_presentation(p: int) -> Presentation:
 
 def findim_preset(name: str, p: int) -> FinDimAlgebra:
     """The preset T2, T3, M2, FxF, poly:<k> (F_p[x]/(x^k)) or cyclic:<k>
-    (F_p[C_k]), k >= 1."""
+    (F_p[C_k]), k >= 1 in decimal digits and nothing after them."""
     if name == "T2":
         return upper_triangular_algebra(2, p)
     if name == "T3":
@@ -236,8 +236,11 @@ def findim_preset(name: str, p: int) -> FinDimAlgebra:
         one = truncated_polynomial_algebra(p, 1)
         return product_algebra(one, one)
     if isinstance(name, str) and name.startswith(("poly:", "cyclic:")):
-        build = truncated_polynomial_algebra if name.startswith("poly:") else cyclic_group_algebra
-        return build(p, _integer(name.split(":")[1], "preset", 1))
+        kind, _, k = name.partition(":")
+        if not k.isdecimal():  # int() would also take "3 ", " 3" and "1_0"
+            raise ConfigError(f"field 'preset': {name!r} is not {kind}:<k> with k a decimal integer")
+        build = truncated_polynomial_algebra if kind == "poly" else cyclic_group_algebra
+        return build(p, _integer(k, "preset", 1))
     raise ConfigError(f"field 'preset': unknown algebra preset {name!r}")
 
 
@@ -396,6 +399,8 @@ def _cmd_gr(config: JobConfig, rep: Report):
         weights = [1] + [0] * (P.ngens - 1)
     if not isinstance(weights, list) or not all(isinstance(w, int) for w in weights):
         raise ConfigError("field 'weights': must be \"u-adic\" or a list of integers")
+    if len(weights) != P.ngens:
+        raise ConfigError(f"field 'weights': need {P.ngens} weights, one per generator, not {len(weights)}")
     G = associated_graded(P, WeightFiltration(tuple(weights)))
     rep.result["relations"] = _format_relations(G)
     rep.result["commutative"] = not G.relations

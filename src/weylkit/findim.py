@@ -11,6 +11,7 @@ from .linalg_fp import Subspace
 
 ENUM_BUDGET = 1 << 12  # p^d ceiling of every element or vector enumeration
 CHECK_BLOCK = 1 << 20  # array elements per block of check_representation
+TABLE_BUDGET = 1 << 18  # k^3 ceiling of the table of F_p[x]/(x^k) and F_p[C_k] (k <= 64)
 
 
 def check_representation(ops, table, unit, p: int, product_error: str, unit_error: str):
@@ -165,9 +166,17 @@ def upper_triangular_algebra(n: int, p: int) -> FinDimAlgebra:
     return FinDimAlgebra(table, unit, p, name=f"T_{n}(F_{p})")
 
 
+def _zero_table(k: int) -> np.ndarray:
+    """A k x k x k table of zeros, or TooLargeError, before anything is
+    allocated, when its k^3 entries exceed TABLE_BUDGET."""
+    if k**3 > TABLE_BUDGET:
+        raise TooLargeError(f"k^3 = {k}**3 table entries exceed the table budget TABLE_BUDGET = {TABLE_BUDGET}")
+    return np.zeros((k, k, k), dtype=np.int64)
+
+
 def truncated_polynomial_algebra(p: int, k: int) -> FinDimAlgebra:
     """F_p[x]/(x^k) on the basis 1, x, ..., x^{k-1}."""
-    table = np.zeros((k, k, k), dtype=np.int64)
+    table = _zero_table(k)
     for a, b in itertools.product(range(k), repeat=2):
         if a + b < k:
             table[a, b, a + b] = 1
@@ -189,7 +198,7 @@ def product_algebra(A: FinDimAlgebra, B: FinDimAlgebra) -> FinDimAlgebra:
 
 def cyclic_group_algebra(p: int, order: int) -> FinDimAlgebra:
     """F_p[Z/order] on the group element basis."""
-    table = np.zeros((order, order, order), dtype=np.int64)
+    table = _zero_table(order)
     for a, b in itertools.product(range(order), repeat=2):
         table[a, b, (a + b) % order] = 1
     unit = np.zeros(order, dtype=np.int64)

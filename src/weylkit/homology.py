@@ -10,6 +10,7 @@ module.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -81,13 +82,25 @@ def _restricted_action(action: np.ndarray, basis: np.ndarray, p: int) -> np.ndar
     return T.T @ coords % p
 
 
+@functools.lru_cache
+def _candidate_pool(p: int, dim: int) -> np.ndarray:
+    """The generator candidates in F_p^dim, as read-only rows: the all-ones
+    vector, the coordinate vectors and 16 random vectors seeded by 0."""
+    rng = random.Random(0)
+    randoms = [[rng.randrange(p) for _ in range(dim)] for _ in range(16)]
+    pool = np.vstack([np.ones(dim), np.eye(dim), randoms]).astype(np.int64)
+    pool.flags.writeable = False
+    return pool
+
+
 def _minimal_generators(M: FDModule, rad: Subspace) -> list[np.ndarray]:
     """Greedy generating set: add vectors outside N + rad*M until N = M.
 
     Each step picks the first candidate whose cyclic closure covers the most
     of M (coordinate vectors alone can miss e.g. the unit of a regular
     module, so the pool also holds the all-ones vector and a few seeded
-    random ones).  N + A*v has dimension at most min(dim M, dim N + dim A),
+    random ones; it is built once per (p, dim M), and the generators are
+    copies of its rows).  N + A*v has dimension at most min(dim M, dim N + dim A),
     so the scan stops at the first closure that reaches that bound: no
     later candidate can exceed it, and only a strictly larger closure
     displaces the best, so the choice is the one the full scan makes.
@@ -96,9 +109,7 @@ def _minimal_generators(M: FDModule, rad: Subspace) -> list[np.ndarray]:
     # rad*M is spanned by the columns of the actions of the radical's basis
     cols = np.einsum("ri,iab->rba", rad.basis, M.action).reshape(-1, M.dim)
     radM = Subspace(cols, M.dim, p)
-    rng = random.Random(0)
-    randoms = [[rng.randrange(p) for _ in range(M.dim)] for _ in range(16)]
-    candidates = np.vstack([np.ones(M.dim), np.eye(M.dim), randoms]).astype(np.int64)
+    candidates = _candidate_pool(p, M.dim)
     # images[c] spans A*v for the candidate v = candidates[c]
     images = np.einsum("iab,cb->cia", M.action, candidates) % p
     gens: list[np.ndarray] = []
@@ -116,7 +127,7 @@ def _minimal_generators(M: FDModule, rad: Subspace) -> list[np.ndarray]:
                 best, best_closure = candidates[c], closure
                 if closure.dim == bound:
                     break
-        gens.append(best)
+        gens.append(best.copy())
         N = best_closure
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import TooLargeError, InternalInconsistencyError
+from . import findim
 from .findim import FinDimAlgebra
 from .linalg_fp import Subspace, nonsingular, nullspace
 
@@ -22,23 +23,44 @@ WITNESS_BLOCK = 1 << 13  # entries of the products a x held at once by the witne
 FIBER_K_MAX = 6  # powers of the ideal intersection probed by fiber_decomposability
 
 
-def _trace_functional(A: FinDimAlgebra, b, i: int) -> np.ndarray:
-    """g_i(b e_k) for every basis vector e_k, where g_i(a) is
-    (Tr(L~_a^{p^i}) mod p^{i+1}) / p^i and L~_a is the left-regular matrix of
-    a with entries lifted to [0, p)."""
-    p, q = A.p, A.p ** (i + 1)
-    prods = (b @ A.table.reshape(A.dim, -1)).reshape(A.dim, A.dim) % p  # row k: b e_k
-    base = np.einsum("mi,ijk->mkj", prods, A.table) % p
-    # entries stay below q <= p * dim, so int64 products cannot overflow
-    power, e = np.broadcast_to(np.eye(A.dim, dtype=np.int64), base.shape), p**i
-    while e:
-        if e & 1:
-            power = power @ base % q
-        base, e = base @ base % q, e >> 1
-    traces = np.trace(power, axis1=1, axis2=2) % q
-    if np.any(traces % p**i):
+def _trace_functionals(A: FinDimAlgebra, basis: np.ndarray, i: int) -> np.ndarray:
+    """G[b, k] = g_i(b e_k) for each row b of basis and every basis vector
+    e_k, where g_i(a) is (Tr(L~_a^{p^i}) mod p^{i+1}) / p^i and L~_a is the
+    left-regular matrix of a with entries lifted to [0, p).
+
+    The matrices of all b e_k are raised to the p^i-th power as one stack,
+    by square and multiply, in chunks of rows b whose live stacks (the
+    matrices, their power and one product) hold at most CHECK_BLOCK array
+    elements together, at least one b per chunk."""
+    p, q, d = A.p, A.p ** (i + 1), A.dim
+    flat = A.table.reshape(d, -1)
+
+    def mulmod(X, Y):  # reduced in place, so that no fourth stack is live
+        Z = X @ Y
+        Z %= q
+        return Z
+
+    def traces(rows):  # row (b, k): Tr(L~_{b e_k}^{p^i}) mod q
+        prods = (rows @ flat % p).reshape(-1, d)  # row (b, k): b e_k
+        # block (b, k) has rows (b e_k) e_j: the transposed left-regular
+        # matrix of b e_k, which has the same trace of every power
+        base = (prods @ flat).reshape(-1, d, d)
+        base %= p
+        # entries stay below q <= p * dim, so int64 products cannot overflow
+        power, e = None, p**i
+        while e:
+            if e & 1:
+                power = base if power is None else mulmod(power, base)
+            e >>= 1
+            if e:
+                base = mulmod(base, base)
+        return np.trace(power, axis1=1, axis2=2).reshape(-1, d) % q
+
+    step = max(1, findim.CHECK_BLOCK // (3 * d**3))
+    G = np.concatenate([traces(basis[s : s + step]) for s in range(0, len(basis), step)])
+    if np.any(G % p**i):
         raise InternalInconsistencyError(f"trace not divisible by p^{i}")
-    return traces // p**i
+    return G // p**i
 
 
 def jacobson_radical(A: FinDimAlgebra) -> Subspace:
@@ -46,14 +68,15 @@ def jacobson_radical(A: FinDimAlgebra) -> Subspace:
     Cohen-Ivanyos-Wales, JPAA 1997): starting from I = A, for each i with
     p^i <= dim A keep the a in I with g_i(a e_k) = 0 for every basis vector
     e_k.  Each g_i is linear on the previous I, so each step is one
-    nullspace.  Computed once per algebra and stored on it.
+    nullspace of the functional matrix G of I's basis, built in one stacked
+    pass.  Computed once per algebra and stored on it.
     """
     if A._radical is not None:
         return A._radical
     rad = Subspace(np.eye(A.dim, dtype=np.int64), A.dim, A.p)
     i = 0
     while A.p**i <= A.dim and rad.dim:
-        G = np.array([_trace_functional(A, b, i) for b in rad.basis])
+        G = _trace_functionals(A, rad.basis, i)
         rad = Subspace(nullspace(G.T, A.p) @ rad.basis % A.p, A.dim, A.p)
         i += 1
     # Hopkins: rad^d = 0

@@ -11,7 +11,7 @@ from child_process import run_weylkit
 from weylkit.cli import ConfigError, findim_preset, parse_config, run
 from weylkit.elements import format_element, parse_element
 from weylkit.errors import InvalidFormError
-from weylkit.findim import ENUM_BUDGET
+from weylkit.findim import ENUM_BUDGET, TABLE_BUDGET
 from weylkit.localring import CROSS_CHECK_BUDGET
 from weylkit.presentations import NCPoly
 from weylkit.weylalg import localized_weyl, weyl_presentation
@@ -242,6 +242,11 @@ MALFORMED_PARAMS = [
     ("radical", {"preset": "poly:abc"}, "preset"),
     ("radical", {"preset": "poly:0"}, "preset"),
     ("radical", {"preset": "cyclic:-1"}, "preset"),
+    ("radical", {"preset": "poly:2:3"}, "preset"),
+    ("radical", {"preset": "cyclic:4:"}, "preset"),
+    ("radical", {"preset": "poly:3 "}, "preset"),
+    ("radical", {"preset": "poly: 3"}, "preset"),
+    ("radical", {"preset": "poly:1_0"}, "preset"),
     ("twist", {"element": "g1", "k": "x"}, "k"),
     ("diagram-check", {"trials": "abc"}, "trials"),
     ("diagram-check", {"trials": -1}, "trials"),
@@ -250,6 +255,8 @@ MALFORMED_PARAMS = [
     ("grade", {"budget": -1}, "budget"),
     ("auslander", {"depth": -1}, "depth"),
     ("gr", {"weights": "x"}, "weights"),
+    ("gr", {"weights": [1, 1, 1, 1]}, "weights"),
+    ("gr", {"weights": [1]}, "weights"),
     ("localring", {"preset": "M2", "subring": "squares"}, "subring"),
     ("localring", {"preset": "cyclic:4", "subring": "squares"}, "subring"),
     ("localring", {"preset": "T2", "subring": "squares"}, "subring"),
@@ -292,6 +299,14 @@ def test_exit_code_3_budget():
         }
     )
     assert proc.returncode == 3
+
+
+def test_table_budget_exits_3():
+    # cyclic:2000 has a 2000^3-entry table (59.6 GiB of int64)
+    proc = run_cli({"p": 2, "n": 1, "command": "radical", "params": {"preset": "cyclic:2000"}})
+    assert proc.returncode == 3
+    assert f"exceed the table budget TABLE_BUDGET = {TABLE_BUDGET}" in proc.stdout
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("module", ["top", "regular"])

@@ -22,6 +22,7 @@ from weylkit.homology import (
     FDModule,
     GradeBound,
     _block_action,
+    _candidate_pool,
     _cyclic_right_submodules,
     _dual_matrix,
     _minimal_generators,
@@ -440,3 +441,37 @@ def test_generator_search_matches_exhaustive_scan(preset, p):
             assert np.array_equal(np.array(_minimal_generators(K, rad)), np.array(expected)), (mod, t)
             if t < len(res.generators):
                 assert np.array_equal(res.generators[t], np.array(expected) @ ker % p), (mod, t)
+
+
+def seeded_pool(p, dim):
+    """Oracle: the candidates as the generator search drew them on every
+    call before the pool was cached."""
+    rng = random.Random(0)
+    candidates = [np.ones(dim, dtype=np.int64)] + list(np.eye(dim, dtype=np.int64))
+    for _ in range(16):
+        candidates.append(np.array([rng.randrange(p) for _ in range(dim)], dtype=np.int64))
+    return np.array(candidates)
+
+
+@pytest.mark.parametrize("p,dim", [(2, 1), (2, 7), (3, 4), (5, 12), (7, 3), (3, 30)])
+def test_candidate_pool_is_the_seeded_pool(p, dim):
+    pool = _candidate_pool(p, dim)
+    assert pool.dtype == np.int64 and np.array_equal(pool, seeded_pool(p, dim))
+    assert _candidate_pool(p, dim) is pool  # built once per (p, dim)
+    assert not pool.flags.writeable
+    with pytest.raises(ValueError):
+        pool[0, 0] = 0
+
+
+@pytest.mark.parametrize("preset,p", [("T3", 2), ("cyclic:4", 3), ("M2", 2)])
+def test_generators_are_copies_of_the_pool(preset, p):
+    A = findim_preset(preset, p)
+    rad = jacobson_radical(A)
+    M = module_preset("regular", A)
+    first = _minimal_generators(M, rad)
+    expected = [g.copy() for g in first]
+    for g in first:
+        assert g.flags.writeable
+        g += 1
+    assert np.array_equal(np.array(_minimal_generators(M, rad)), np.array(expected))
+    assert np.array_equal(_candidate_pool(p, M.dim), seeded_pool(p, M.dim))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylkit import findim
 from weylkit.cli import findim_preset
 from weylkit.errors import InvalidFormError, TooLargeError
 from weylkit.findim import (
@@ -23,6 +24,7 @@ from weylkit.linalg_fp import Subspace, nullspace, rref
 from weylkit.localring import (
     CROSS_CHECK_BUDGET,
     FIBER_K_MAX,
+    _trace_functionals,
     adic_comparison,
     classify_local,
     fiber_decomposability,
@@ -159,6 +161,82 @@ def test_radical_invariant_under_change_of_basis(name, p):
     for _ in range(3):
         B, Q = change_of_basis(A, rng)
         assert jacobson_radical(B) == Subspace(rad.basis @ Q % p, A.dim, p)
+
+
+def trace_functional_by_vector(A, b, i):
+    """Oracle: g_i(b e_k) for every basis vector e_k, for one vector b, with
+    the untransposed left-regular matrices of the b e_k and an identity
+    start to the square and multiply."""
+    p, q = A.p, A.p ** (i + 1)
+    prods = (b @ A.table.reshape(A.dim, -1)).reshape(A.dim, A.dim) % p  # row k: b e_k
+    base = np.einsum("mi,ijk->mkj", prods, A.table) % p
+    power, e = np.broadcast_to(np.eye(A.dim, dtype=np.int64), base.shape), p**i
+    while e:
+        if e & 1:
+            power = power @ base % q
+        base, e = base @ base % q, e >> 1
+    traces = np.trace(power, axis1=1, axis2=2) % q
+    assert not np.any(traces % p**i)
+    return traces // p**i
+
+
+def filtration_by_vector(A):
+    """Oracle: the levels (i, basis of I, G) of Ronyai's filtration with G
+    built one basis vector at a time, and the radical the filtration ends at."""
+    rad, levels, i = Subspace(np.eye(A.dim, dtype=np.int64), A.dim, A.p), [], 0
+    while A.p**i <= A.dim and rad.dim:
+        G = np.array([trace_functional_by_vector(A, b, i) for b in rad.basis])
+        levels.append((i, rad.basis, G))
+        rad = Subspace(nullspace(G.T, A.p) @ rad.basis % A.p, A.dim, A.p)
+        i += 1
+    return levels, rad
+
+
+@pytest.mark.parametrize("block", [None, 9000, 1], ids=["default", "ragged", "one-per-chunk"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_stacked_trace_functionals_match_the_per_vector_oracle(p, block, monkeypatch):
+    # block 9000 splits d = 8..10 into chunks of 3..5 vectors with a shorter
+    # last one; block 1 leaves one vector per chunk
+    if block is not None:
+        monkeypatch.setattr(findim, "CHECK_BLOCK", block)
+    rng = np.random.default_rng(p)
+    for name in PRESETS:
+        A = findim_preset(name, p)
+        for B in [A, *(change_of_basis(A, rng)[0] for _ in range(2))]:
+            levels, rad = filtration_by_vector(B)
+            for i, basis, G in levels:
+                assert np.array_equal(_trace_functionals(B, basis, i), G), (name, i)
+            assert jacobson_radical(B) == rad, name
+
+
+def test_stacked_trace_functionals_memory():
+    # the live stacks of one chunk stay within CHECK_BLOCK int64 entries
+    A = findim_preset("poly:30", 2)
+    basis = np.eye(30, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        _trace_functionals(A, basis, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * findim.CHECK_BLOCK
+
+
+def test_table_budget(monkeypatch):
+    tracemalloc.start()
+    try:
+        for build in (truncated_polynomial_algebra, cyclic_group_algebra):
+            with pytest.raises(TooLargeError, match="TABLE_BUDGET"):
+                build(2, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # refused before the 8 * 2000^3-byte table
+    monkeypatch.setattr(findim, "TABLE_BUDGET", 5**3)
+    for build in (truncated_polynomial_algebra, cyclic_group_algebra):
+        assert build(3, 5).dim == 5
+        with pytest.raises(TooLargeError, match="TABLE_BUDGET"):
+            build(3, 6)
 
 
 def maximal_left_ideals_brute(A: FinDimAlgebra) -> list[Subspace]:
