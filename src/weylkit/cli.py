@@ -92,9 +92,10 @@ class ConfigError(Exception):
 
 def _integer(value, field: str, least: int | None = None) -> int:
     """int(value), or a ConfigError naming the config field when value is not
-    an integer or is below least."""
+    an integer or is below least.  JSON booleans are not integers here,
+    although int(True) is 1."""
     try:
-        n = int(value)
+        n = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or (least is not None and n < least):

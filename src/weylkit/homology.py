@@ -148,40 +148,77 @@ class Resolution:
         """d^2 = 0 and exactness at every computed stage, by rank counts."""
         p = self.A.p
         mats = [self.eps] + self.diffs
-        for a, b in zip(mats, mats[1:]):
+        ranks = [rank(m.T, p) for m in mats]
+        for a, b, rank_a, rank_b in zip(mats, mats[1:], ranks, ranks[1:]):
             if a.size and b.size and np.any(a @ b % p):
                 return False
-            if a.shape[1] - rank(a.T, p) != rank(b.T, p):  # dim ker a = dim im b
+            if a.shape[1] - rank_a != rank_b:  # dim ker a = dim im b
                 return False
         return True
 
 
-def minimal_projective_resolution(M: FDModule, A: FinDimAlgebra, length: int) -> Resolution:
-    """Free resolution on minimal generating sets, extended to the requested
-    length (it stops early if a kernel vanishes)."""
+def _stages(M: FDModule, A: FinDimAlgebra):
+    """Yield M's free resolution on minimal generating sets, one stage at a
+    time: the same Resolution grown by one stage before each yield, first
+    the cover P_0 -> M alone.  It stops when a kernel vanishes, and runs
+    without end otherwise, so callers read only the stages they need.
+
+    A resolution of a finite-dimensional module is often periodic, so each
+    kernel module K is keyed by its action matrices.  When the kernel at
+    stage i equals the one at an earlier stage j, stage i takes the
+    generators found at stage j, and every later stage copies stages
+    j + 1, ..., i in turn instead of resolving again.  This is exact:
+    _minimal_generators depends only on K.action and the radical, so K gets
+    the same generators g.  Stage i's cover map is D_i = ker_i^T D_K, where
+    D_K is the cover of K by g in K's own coordinates and the rows of ker_i
+    are independent; so nullspace(D_i) = nullspace(D_K) = nullspace(D_j),
+    the null space being a canonical RREF.  Hence ker_{i+1} = ker_{j+1} in
+    the same free module A^{r_i} = A^{r_j}, and every later stage repeats
+    exactly.  Copied stages share their arrays with the stages they repeat.
+    """
     p = A.p
+    res = Resolution(A, M, [], np.zeros((0, 0), dtype=np.int64))
     if M.is_zero():
-        return Resolution(A, M, [], np.zeros((0, 0), dtype=np.int64))
+        yield res
+        return
     rad = jacobson_radical(A)
     gens = _minimal_generators(M, rad)
-    eps = _cover_map(M.action, gens, p)
-    res = Resolution(A, M, [len(gens)], eps)
-    prev_map = eps
-    prev_rank = len(gens)
-    for _ in range(length):
-        ker = nullspace(prev_map, p)
-        if ker.shape[0] == 0:
-            break
-        free_act = _block_action(A, prev_rank)
-        K = FDModule(A, _restricted_action(free_act, ker, p))
-        # K's generators live in the coordinates of ker; send them back
-        kg = np.array(_minimal_generators(K, rad), dtype=np.int64) @ ker % p
-        D = _cover_map(free_act, kg, p)
+    res.ranks.append(len(gens))
+    res.eps = _cover_map(M.action, gens, p)
+    yield res
+    seen = {}  # kernel key -> (index in res.generators, generators in K's coordinates)
+    repeat = None  # once a kernel recurs, the indices of the stages to copy
+    while True:
+        if repeat:
+            t = next(repeat)
+            kg, D = res.generators[t], res.diffs[t]
+        else:
+            ker = nullspace(res.diffs[-1] if res.diffs else res.eps, p)
+            if ker.shape[0] == 0:
+                return
+            free_act = _block_action(A, res.ranks[-1])
+            K = FDModule(A, _restricted_action(free_act, ker, p))
+            key = (K.action.shape, K.action.tobytes())
+            if key in seen:
+                repeat = itertools.cycle(range(seen[key][0] + 1, len(res.generators) + 1))
+            else:
+                seen[key] = (len(res.generators), np.array(_minimal_generators(K, rad), dtype=np.int64))
+            # K's generators live in the coordinates of ker; send them back
+            kg = seen[key][1] @ ker % p
+            D = _cover_map(free_act, kg, p)
         res.ranks.append(kg.shape[0])
         res.diffs.append(D)
         res.generators.append(kg)
-        prev_map = D
-        prev_rank = kg.shape[0]
+        yield res
+
+
+def minimal_projective_resolution(M: FDModule, A: FinDimAlgebra, length: int) -> Resolution:
+    """Free resolution on minimal generating sets, extended to the requested
+    length (it stops early if a kernel vanishes).  The stages come from
+    _stages, so a periodic resolution resolves each distinct kernel once
+    and copies the stages that repeat."""
+    for res in itertools.islice(_stages(M, A), max(length, 0) + 1):
+        pass
     return res
 
 
@@ -286,11 +323,15 @@ class GradeBound:
 
 def grade(M: FDModule, A: FinDimAlgebra, budget: int = 4):
     """j(M) = least i with Ext^i(M, A) != 0; +inf for the zero module,
-    GradeBound(budget) when every probed Ext vanishes."""
+    GradeBound(budget) when every probed Ext vanishes.  Ext^i needs the
+    resolution to stage i + 1, so the stages are read from _stages only up
+    to the first non-zero Ext: a module of grade 0 costs one stage."""
     if M.is_zero():
         return math.inf
-    res = minimal_projective_resolution(M, A, budget + 1)
+    stages = _stages(M, A)
+    res = next(stages)
     for i in range(budget + 1):
+        res = next(stages, res)  # to stage i + 1, unless a kernel vanished
         if ext_groups(M, A, i, res).dim:
             return i
     return GradeBound(budget)

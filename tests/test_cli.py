@@ -252,6 +252,8 @@ MALFORMED_PARAMS = [
     ("diagram-check", {"trials": -1}, "trials"),
     ("diagram-check", {"max_degree": -1}, "max_degree"),
     ("ext", {"i": -1}, "i"),
+    ("ext", {"i": True}, "i"),
+    ("twist", {"element": "g1", "k": True}, "k"),
     ("grade", {"budget": -1}, "budget"),
     ("auslander", {"depth": -1}, "depth"),
     ("gr", {"weights": "x"}, "weights"),

@@ -21,8 +21,10 @@ from weylkit.findim import (
 from weylkit.homology import (
     FDModule,
     GradeBound,
+    Resolution,
     _block_action,
     _candidate_pool,
+    _cover_map,
     _cyclic_right_submodules,
     _dual_matrix,
     _minimal_generators,
@@ -475,3 +477,110 @@ def test_generators_are_copies_of_the_pool(preset, p):
         g += 1
     assert np.array_equal(np.array(_minimal_generators(M, rad)), np.array(expected))
     assert np.array_equal(_candidate_pool(p, M.dim), seeded_pool(p, M.dim))
+
+
+# -- the periodic copy and grade's early stop, against the eager stage loop
+
+
+def stagewise_resolution(M, A, length):
+    """Oracle: the stage loop with one generator search per stage and no
+    periodic copy."""
+    p = A.p
+    if M.is_zero():
+        return Resolution(A, M, [], np.zeros((0, 0), dtype=np.int64))
+    rad = jacobson_radical(A)
+    gens = _minimal_generators(M, rad)
+    res = Resolution(A, M, [len(gens)], _cover_map(M.action, gens, p))
+    prev_map, prev_rank = res.eps, len(gens)
+    for _ in range(length):
+        ker = nullspace(prev_map, p)
+        if ker.shape[0] == 0:
+            break
+        free_act = _block_action(A, prev_rank)
+        K = FDModule(A, _restricted_action(free_act, ker, p))
+        kg = np.array(_minimal_generators(K, rad), dtype=np.int64) @ ker % p
+        D = _cover_map(free_act, kg, p)
+        res.ranks.append(kg.shape[0])
+        res.diffs.append(D)
+        res.generators.append(kg)
+        prev_map, prev_rank = D, kg.shape[0]
+    return res
+
+
+def eager_grade(M, A, budget):
+    """Oracle: resolve to stage budget + 1, then scan the Ext groups."""
+    if M.is_zero():
+        return math.inf
+    res = stagewise_resolution(M, A, budget + 1)
+    for i in range(budget + 1):
+        if ext_groups(M, A, i, res).dim:
+            return i
+    return GradeBound(budget)
+
+
+def count_generator_searches(monkeypatch):
+    calls = []
+    search = weylkit.homology._minimal_generators
+
+    def counting(M, rad):
+        calls.append(M.dim)
+        return search(M, rad)
+
+    monkeypatch.setattr(weylkit.homology, "_minimal_generators", counting)
+    return calls
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("preset", ORACLE_PRESETS)
+def test_periodic_copy_matches_stage_loop(preset, p):
+    A = findim_preset(preset, p)
+    for mod in ("top", "regular"):
+        M = module_preset(mod, A)
+        expected = stagewise_resolution(M, A, 8)
+        for length in range(9):
+            res = minimal_projective_resolution(M, A, length)
+            stop = len(res.generators)
+            assert stop == min(length, len(expected.generators)), (mod, length)
+            assert res.ranks == expected.ranks[:stop + 1], (mod, length)
+            assert np.array_equal(res.eps, expected.eps), (mod, length)
+            for t in range(stop):
+                assert np.array_equal(res.diffs[t], expected.diffs[t]), (mod, length, t)
+                assert np.array_equal(res.generators[t], expected.generators[t]), (mod, length, t)
+        assert res.check()
+
+
+def test_periodic_resolution_resolves_each_kernel_once(monkeypatch):
+    # T2 at p = 2, top module: the cover and two distinct kernels, after
+    # which the kernel at stage 3 repeats an earlier one (the eager loop
+    # searched once per stage, 7 times)
+    A = findim_preset("T2", 2)
+    M = module_preset("top", A)
+    calls = count_generator_searches(monkeypatch)
+    res = minimal_projective_resolution(M, A, 6)
+    assert len(res.generators) == 6 and res.check()
+    assert len(calls) == 3
+
+
+def test_grade_resolves_only_to_its_first_nonzero_ext(monkeypatch):
+    # T3 at p = 2, top module, grade 0: Ext^0 needs the cover and stage 1
+    # only (the eager loop resolved to stage budget + 1 = 5: 6 searches)
+    A = findim_preset("T3", 2)
+    M = module_preset("top", A)
+    calls = count_generator_searches(monkeypatch)
+    assert grade(M, A, 4) == 0
+    assert len(calls) == 2
+
+
+def test_grade_matches_eager_oracle():
+    A, S1, S2 = t2_simples()
+    assert grade(S2, A) == eager_grade(S2, A, 4) == 1
+    assert grade(S2, A, 0) == eager_grade(S2, A, 0) == GradeBound(0)
+    for budget in range(4):
+        for M in (S1, S2, direct_sum(A, S1, S2)):
+            assert grade(M, A, budget) == eager_grade(M, A, budget), budget
+    for preset in ORACLE_PRESETS:
+        for p in (2, 3):
+            A = findim_preset(preset, p)
+            for mod in ("top", "regular", "zero"):
+                M = module_preset(mod, A)
+                assert grade(M, A, 3) == eager_grade(M, A, 3), (preset, p, mod)
