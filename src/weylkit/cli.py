@@ -92,16 +92,24 @@ class ConfigError(Exception):
 
 def _integer(value, field: str, least: int | None = None) -> int:
     """int(value), or a ConfigError naming the config field when value is not
-    an integer or is below least.  JSON booleans are not integers here,
-    although int(True) is 1."""
+    an integer or is below least.  JSON booleans and floats with a fractional
+    part are not integers here, although int(True) is 1 and int(1.7) is 1."""
+    fractional = isinstance(value, float) and not value.is_integer()
     try:
-        n = None if isinstance(value, bool) else int(value)
+        n = None if isinstance(value, bool) or fractional else int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or (least is not None and n < least):
         bound = "" if least is None else f" >= {least}"
         raise ConfigError(f"field {field!r}: {value!r} is not an integer{bound}")
     return n
+
+
+def _required(config: JobConfig, field: str):
+    """The command parameter field, or a ConfigError naming it when absent."""
+    if field not in config.params:
+        raise ConfigError(f"field {field!r}: missing")
+    return config.params[field]
 
 
 class JobConfig:
@@ -261,7 +269,7 @@ def module_preset(name: str, A: FinDimAlgebra) -> FDModule:
 
 def _cmd_nf(config: JobConfig, rep: Report):
     A = _weyl(config)
-    x = parse_element(config.params["element"], A.presentation)
+    x = parse_element(_required(config, "element"), A.presentation)
     rep.result["normal_form"] = format_element(x, A.presentation)
     rep.add_check("normal_form_computed", True)
 
@@ -269,22 +277,22 @@ def _cmd_nf(config: JobConfig, rep: Report):
 def _cmd_mul(config: JobConfig, rep: Report):
     A = _weyl(config)
     P = A.presentation
-    a = parse_element(config.params["a"], P)
-    b = parse_element(config.params["b"], P)
+    a = parse_element(_required(config, "a"), P)
+    b = parse_element(_required(config, "b"), P)
     rep.result["product"] = format_element(P.multiply(a, b), P)
     rep.add_check("product_computed", True)
 
 
 def _cmd_norm(config: JobConfig, rep: Report):
     A = _weyl(config)
-    s = parse_element(config.params["element"], A.presentation)
+    s = parse_element(_required(config, "element"), A.presentation)
     rep.result["norm"] = reduced_norm(s, A).format()
     rep.add_check("norm_computed", True)
 
 
 def _cmd_symbol(config: JobConfig, rep: Report):
     A = _weyl(config)
-    s = parse_element(config.params["element"], A.presentation)
+    s = parse_element(_required(config, "element"), A.presentation)
     sym = principal_symbol(s, A)
     rep.result["degree"] = sym.degree
     rep.result["symbol"] = sym.poly.format()
@@ -321,7 +329,7 @@ def _cmd_diagram_check(config: JobConfig, rep: Report):
 
 def _cmd_ord(config: JobConfig, rep: Report):
     A = _weyl(config)
-    s = parse_element(config.params["element"], A.presentation)
+    s = parse_element(_required(config, "element"), A.presentation)
     f = center_coordinates(s, A)
     v = ord_at_H_dagger(f)
     rep.result["ord"] = "inf" if v == float("inf") else int(v)
@@ -330,8 +338,8 @@ def _cmd_ord(config: JobConfig, rep: Report):
 
 def _cmd_twist(config: JobConfig, rep: Report):
     A = _weyl(config)
-    s = parse_element(config.params["element"], A.presentation)
-    k = _integer(config.params["k"], "k")
+    s = parse_element(_required(config, "element"), A.presentation)
+    k = _integer(_required(config, "k"), "k")
     member = twist_membership(s, k, A)
     rep.result["member"] = member
     rep.add_check("twist_membership_computed", True, f"member={member}")
@@ -339,7 +347,7 @@ def _cmd_twist(config: JobConfig, rep: Report):
 
 def _cmd_sections(config: JobConfig, rep: Report):
     A = _weyl(config)
-    k = _integer(config.params["k"], "k")
+    k = _integer(_required(config, "k"), "k")
     bound = _integer(config.params.get("degree_bound", max(k, 0)), "degree_bound")
     basis = global_twist_sections(k, bound, A)
     rep.result["basis"] = [format_element(b, A.presentation) for b in basis]
@@ -591,10 +599,6 @@ def run(config: JobConfig) -> tuple[Report, int]:
         rep.add_check("budget", False, str(e))
         rep.elapsed = time.monotonic() - start
         return rep, 3
-    except ConfigError:
-        raise
-    except KeyError as e:
-        raise ConfigError(f"missing parameter: {e}") from e
     except WeylkitError as e:
         rep.add_check("error", False, str(e))
         rep.elapsed = time.monotonic() - start

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from child_process import run_weylkit
+from weylkit import cli
 from weylkit.cli import ConfigError, findim_preset, parse_config, run
 from weylkit.elements import format_element, parse_element
 from weylkit.errors import InvalidFormError
@@ -127,10 +128,13 @@ def test_run_sections():
     assert sorted(rep.result["basis"]) == ["1", "g1", "g2"]
 
 
-@pytest.mark.parametrize("p,n,k", [(7, 1, 1), (2, 2, 2), (5, 2, 1)])
+@pytest.mark.parametrize("p,n,k", [(7, 1, 1), (2, 2, 2), (5, 2, 1), (7, 2, 2), (5, 2, 3)])
 def test_run_sections_degree_law(p, n, k):
-    # the basis is the monomials of degree <= k, in graded-lex order
+    # the basis is the monomials of degree <= k, in graded-lex order; no
+    # norm is computed, so even (7, 2) takes well under the cap
+    start = time.perf_counter()
     rep, code = run(cfg("sections", p=p, n=n, params={"k": k}))
+    assert time.perf_counter() - start < 3.0
     P = weyl_presentation(p, n).presentation
     monos = [m for m in itertools.product(range(k + 1), repeat=2 * n) if sum(m) <= k]
     monos.sort(key=lambda m: (sum(m), m))
@@ -253,6 +257,12 @@ MALFORMED_PARAMS = [
     ("diagram-check", {"max_degree": -1}, "max_degree"),
     ("ext", {"i": -1}, "i"),
     ("ext", {"i": True}, "i"),
+    ("ext", {"i": 1.7}, "i"),
+    ("diagram-check", {"trials": 2.5}, "trials"),
+    ("norm", {}, "element"),
+    ("mul", {"a": "g1"}, "b"),
+    ("twist", {"element": "g1"}, "k"),
+    ("sections", {}, "k"),
     ("twist", {"element": "g1", "k": True}, "k"),
     ("grade", {"budget": -1}, "budget"),
     ("auslander", {"depth": -1}, "depth"),
@@ -275,6 +285,23 @@ def test_malformed_params_exit_2(command, params, field):
     assert proc.stdout == ""
     assert f"config error: field {field!r}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_integral_floats_and_integer_strings_are_integers():
+    want, code = run(cfg("ext", params={"i": 1}))
+    assert code == 0
+    for i in (1.0, "1"):
+        rep, code = run(cfg("ext", params={"i": i}))
+        assert code == 0 and rep.result == want.result
+
+
+def test_internal_key_error_is_not_a_config_error(monkeypatch):
+    def broken(s, A):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "reduced_norm", broken)
+    with pytest.raises(KeyError, match="internal"):
+        run(cfg("norm", params={"element": "g1"}))
 
 
 def test_squares_subring_on_poly():

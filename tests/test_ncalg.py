@@ -377,10 +377,30 @@ def test_confluence_weyl_all_supported():
 
 
 def test_confluence_chart_all_supported():
+    """boundary_chart_presentation runs no confluence check of its own: the
+    chart is an iterated Ore extension for every h in chart normal form.
+    This is its oracle, on the standard h and on random chart h at n = 2."""
+    rng = random.Random(6)
     for p in (2, 3, 5, 7):
         for n in (1, 2):
-            report = check_confluence(chart(p, n))
-            assert report.passed
+            for h in [None] + ([random_chart_h(p, rng) for _ in range(6)] if n == 2 else []):
+                P = boundary_chart_presentation(p, n, h).presentation
+                report = check_confluence(P)
+                assert report.passed and not report.discrepancies, (p, n, h)
+                assert report.overlaps_checked == math.comb(2 * n, 3)
+                assert (report.passed, report.overlaps_checked, report.discrepancies) == flat_confluence(P)
+
+
+def test_chart_build_takes_no_reduction(monkeypatch):
+    def one_step(self, m, i, sign, steps):
+        raise AssertionError("the chart build rewrote by one-step reductions")
+
+    monkeypatch.setattr(Presentation, "_mono_times_gen", one_step)
+    rng = random.Random(7)
+    for p in (2, 3, 5, 7):
+        for n in (1, 2):
+            for h in (None,) if n == 1 else (None, random_chart_h(p, rng)):
+                assert boundary_chart_presentation(p, n, h).presentation._chart is not None
 
 
 def jacobi_violating_presentation(p=2):

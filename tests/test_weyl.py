@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
+from test_normnbe import random_h
 from weylkit.errors import InvalidFormError
-from weylkit.presentations import NCPoly
+from weylkit.presentations import NCPoly, Presentation
 from weylkit.weylalg import (
     boundary_chart_presentation,
     center_coordinates,
@@ -49,6 +51,13 @@ def test_degenerate_h_rejected():
     for p in (2, 3, 7):
         with pytest.raises(InvalidFormError, match="degenerate"):
             validate_symplectic(h, p)
+
+
+@pytest.mark.parametrize("build", [weyl_presentation, boundary_chart_presentation, chart_embedding_check])
+def test_h_size_must_be_2n(build):
+    for n, other in ((1, 2), (2, 1)):
+        with pytest.raises(InvalidFormError, match="h size must be 2n"):
+            build(3, n, standard_h(3, other))
 
 
 def test_weyl_relation_examples():
@@ -124,6 +133,47 @@ def test_center_membership_exhaustive_p_multiples():
                 if sum(m) > 2 * p:
                     continue
                 assert center_membership(NCPoly({m: 1}, p), A)
+
+
+def commutes_with_generators(s, A):
+    """The definition of the center: s commutes with every generator (the
+    generators generate A).  The oracle for the exponent test."""
+    P = A.presentation
+    return all(P.commutator(s, P.gen(i)).is_zero() for i in range(A.ngens))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_center_membership_matches_commutators(p, n):
+    rng = random.Random(10 * p + n)
+    for h in (None, random_h(p, n, rng), random_h(p, n, rng)):
+        A = weyl_presentation(p, n, h)
+        verdicts = set()
+        for _ in range(20):
+            central = rng.random() < 0.5
+            terms = {}
+            for _ in range(rng.randrange(1, 4)):
+                m = [p * rng.randrange(3) for _ in range(2 * n)]
+                if not central:
+                    m[rng.randrange(2 * n)] += rng.randrange(p)
+                terms[tuple(m)] = rng.randrange(1, p)
+            s = NCPoly(terms, p)
+            member = center_membership(s, A)
+            assert member == commutes_with_generators(s, A), (p, n, h, s)
+            verdicts.add(member)
+        assert verdicts == {True, False}
+
+
+def test_center_takes_no_product(monkeypatch):
+    def product(self, *args):
+        raise AssertionError("the center test formed a product")
+
+    monkeypatch.setattr(Presentation, "_multiply", product)
+    A = weyl_presentation(3, 2)
+    s = NCPoly({(3, 0, 6, 0): 2, (0, 0, 0, 0): 1}, 3)
+    assert center_membership(s, A)
+    assert not center_membership(s + A.presentation.gen(1), A)
+    assert center_coordinates(s, A).terms == {(1, 0, 2, 0): 2, (0, 0, 0, 0): 1}
 
 
 def test_center_coordinates_examples():
