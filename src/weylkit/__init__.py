@@ -3,7 +3,13 @@
 PBW arithmetic with confluence checking, the reduced norm over the center,
 Serre twists and the principal symbol, local-ring taxonomy, and exact Ext /
 grade computations on finite-dimensional algebras.
+
+The finite-dimensional names (from findim, homology, linalg_fp and
+localring) are resolved on first use (PEP 562), so that importing weylkit
+and the Weyl-algebra and norm path do not import numpy.
 """
+
+import importlib
 
 from .commpoly import CommPoly, exact_div
 from .elements import format_element, parse_element
@@ -16,37 +22,6 @@ from .errors import (
     TooLargeError,
     UnsupportedError,
     WeylkitError,
-)
-from .findim import (
-    FinDimAlgebra,
-    cyclic_group_algebra,
-    full_matrix_algebra,
-    product_algebra,
-    truncated_polynomial_algebra,
-    upper_triangular_algebra,
-)
-from .homology import (
-    AuslanderReport,
-    ExtResult,
-    FDModule,
-    GradeBound,
-    Resolution,
-    auslander_probe,
-    ext_groups,
-    grade,
-    hom_module_dimension,
-    minimal_projective_resolution,
-)
-from .linalg_fp import Subspace
-from .localring import (
-    adic_comparison,
-    classify_local,
-    fiber_decomposability,
-    idempotent_ideal_check,
-    ideals_over,
-    jacobson_radical,
-    maximal_two_sided_ideals,
-    radical_cross_check,
 )
 from .norm import (
     GradedSymbol,
@@ -79,6 +54,7 @@ from .weylalg import (
     center_coordinates,
     center_membership,
     chart_embedding_check,
+    darboux_basis,
     localized_weyl,
     standard_h,
     validate_symplectic,
@@ -86,3 +62,47 @@ from .weylalg import (
 )
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    "findim": (
+        "FinDimAlgebra",
+        "cyclic_group_algebra",
+        "full_matrix_algebra",
+        "product_algebra",
+        "truncated_polynomial_algebra",
+        "upper_triangular_algebra",
+    ),
+    "homology": (
+        "AuslanderReport",
+        "ExtResult",
+        "FDModule",
+        "GradeBound",
+        "Resolution",
+        "auslander_probe",
+        "ext_groups",
+        "grade",
+        "hom_module_dimension",
+        "minimal_projective_resolution",
+    ),
+    "linalg_fp": ("Subspace",),
+    "localring": (
+        "adic_comparison",
+        "classify_local",
+        "fiber_decomposability",
+        "idempotent_ideal_check",
+        "ideals_over",
+        "jacobson_radical",
+        "maximal_two_sided_ideals",
+        "radical_cross_check",
+    ),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

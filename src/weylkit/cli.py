@@ -7,6 +7,10 @@ JSON reports contain no timing and are byte-identical for identical
 
 Exit codes: 0 all checks pass, 1 check failure, 2 config error, 3 budget
 exceeded.
+
+The finite-dimensional modules (findim, homology, linalg_fp, localring) and
+with them numpy are imported only by the commands and presets that use
+them, so the Weyl-algebra commands start without numpy.
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ import json
 import random
 import sys
 import time
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .elements import format_element, parse_element
@@ -25,35 +28,6 @@ from .errors import (
     IncompleteSearchError,
     TooLargeError,
     WeylkitError,
-)
-from .findim import (
-    FinDimAlgebra,
-    cyclic_group_algebra,
-    full_matrix_algebra,
-    product_algebra,
-    truncated_polynomial_algebra,
-    upper_triangular_algebra,
-)
-from .homology import (
-    FDModule,
-    GradeBound,
-    auslander_probe,
-    ext_groups,
-    grade,
-    hom_module_dimension,
-    minimal_projective_resolution,
-)
-from .linalg_fp import Subspace
-from .localring import (
-    CROSS_CHECK_BUDGET,
-    adic_comparison,
-    classify_local,
-    fiber_decomposability,
-    idempotent_ideal_check,
-    jacobson_radical,
-    maximal_two_sided_ideals,
-    radical_cross_check,
-    semisimple_quotient,
 )
 from .norm import (
     check_norm_symbol_diagram,
@@ -79,6 +53,10 @@ from .weylalg import (
     validate_symplectic,
     weyl_presentation,
 )
+
+if TYPE_CHECKING:
+    from .findim import FinDimAlgebra
+    from .homology import FDModule
 
 AUSLANDER_NOTE = (
     "finite-dimensional probe; does not decide regularity of the "
@@ -235,6 +213,14 @@ def _jacobi_fail_presentation(p: int) -> Presentation:
 def findim_preset(name: str, p: int) -> FinDimAlgebra:
     """The preset T2, T3, M2, FxF, poly:<k> (F_p[x]/(x^k)) or cyclic:<k>
     (F_p[C_k]), k >= 1 in decimal digits and nothing after them."""
+    from .findim import (
+        cyclic_group_algebra,
+        full_matrix_algebra,
+        product_algebra,
+        truncated_polynomial_algebra,
+        upper_triangular_algebra,
+    )
+
     if name == "T2":
         return upper_triangular_algebra(2, p)
     if name == "T3":
@@ -254,6 +240,9 @@ def findim_preset(name: str, p: int) -> FinDimAlgebra:
 
 
 def module_preset(name: str, A: FinDimAlgebra) -> FDModule:
+    from .homology import FDModule
+    from .localring import semisimple_quotient
+
     if name == "regular":
         return FDModule.regular(A)
     if name == "zero":
@@ -428,6 +417,10 @@ def _cmd_chart_check(config: JobConfig, rep: Report):
 
 
 def _central_subring(A: FinDimAlgebra, name: str, preset: str):
+    import numpy as np
+
+    from .linalg_fp import Subspace
+
     if name == "prime-field":
         R_basis = [A.unit]
         mR = Subspace([], A.dim, A.p)
@@ -443,6 +436,15 @@ def _central_subring(A: FinDimAlgebra, name: str, preset: str):
 
 
 def _cmd_localring(config: JobConfig, rep: Report):
+    from .localring import (
+        adic_comparison,
+        classify_local,
+        fiber_decomposability,
+        idempotent_ideal_check,
+        jacobson_radical,
+        maximal_two_sided_ideals,
+    )
+
     preset = config.params.get("preset", "T2")
     A = findim_preset(preset, config.p)
     R_basis, mR = _central_subring(A, config.params.get("subring", "prime-field"), preset)
@@ -469,6 +471,8 @@ def _cmd_localring(config: JobConfig, rep: Report):
 
 
 def _cmd_radical(config: JobConfig, rep: Report):
+    from .localring import CROSS_CHECK_BUDGET, jacobson_radical, radical_cross_check
+
     A = findim_preset(config.params.get("preset", "T2"), config.p)
     rad = jacobson_radical(A)
     rep.result["algebra"] = A.name
@@ -485,6 +489,8 @@ def _homlab_setup(config: JobConfig):
 
 
 def _cmd_ext(config: JobConfig, rep: Report):
+    from .homology import ext_groups, hom_module_dimension, minimal_projective_resolution
+
     A, M = _homlab_setup(config)
     i = _integer(config.params.get("i", 0), "i", 0)
     res = minimal_projective_resolution(M, A, i + 1)
@@ -499,6 +505,8 @@ def _cmd_ext(config: JobConfig, rep: Report):
 
 
 def _cmd_grade(config: JobConfig, rep: Report):
+    from .homology import GradeBound, grade
+
     A, M = _homlab_setup(config)
     budget = _integer(config.params.get("budget", 4), "budget", 0)
     j = grade(M, A, budget)
@@ -512,6 +520,8 @@ def _cmd_grade(config: JobConfig, rep: Report):
 
 
 def _cmd_auslander(config: JobConfig, rep: Report):
+    from .homology import auslander_probe
+
     A, M = _homlab_setup(config)
     depth = _integer(config.params.get("depth", 3), "depth", 0)
     report = auslander_probe(A, M, depth)

@@ -134,19 +134,6 @@ class CommPoly:
             family="t",
         )
 
-    def nth_root_frobenius(self, power=1):
-        """Unique p^power-th root when all exponents divide; coefficients are
-        fixed by Frobenius on the prime field."""
-        q = self.p**power
-        out = {}
-        for m, c in self.terms.items():
-            if any(e % q for e in m):
-                raise InternalInconsistencyError(
-                    f"polynomial is not a p^{power}-th power"
-                )
-            out[tuple(e // q for e in m)] = c
-        return self._like(out)
-
     def format(self, names=None):
         return format_terms(self.terms, names, self.family)
 

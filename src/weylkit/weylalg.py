@@ -16,11 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .commpoly import CommPoly
 from .errors import InvalidFormError, UnsupportedError
-from .linalg_fp import rank
 from .presentations import NCPoly, Presentation
 
 SUPPORTED_P = (2, 3, 5, 7)
@@ -48,9 +45,40 @@ def validate_symplectic(h, p: int) -> tuple[tuple[int, ...], ...]:
         for j in range(size):
             if (h[i][j] + h[j][i]) % p:
                 raise InvalidFormError("h must be skew-symmetric")
-    if rank(np.array(h, dtype=np.int64), p) < size:
-        raise InvalidFormError("h is degenerate")
+    darboux_basis(h, p)  # raises when h is degenerate
     return h
+
+
+def darboux_basis(h, p: int) -> tuple[tuple[int, ...], ...]:
+    """Rows B_j of a symplectic basis g'_j = sum_i B_ji g_i of the form h:
+    B h B^T = standard_h, by symplectic Gram-Schmidt over F_p.
+
+    With omega(u, v) = u h v^T, each step takes the first remaining vector
+    e and a remaining f with omega(e, f) != 0, scaled to omega(e, f) = 1,
+    and moves every other remaining w to w - omega(w, f) e + omega(w, e) f,
+    which is omega-orthogonal to both.  When no such f exists, e is
+    orthogonal to everything and h is degenerate.  For ``standard_h`` no
+    vector moves and B is the identity.
+    """
+    size = len(h)
+
+    def omega(u, v):
+        return sum(u[i] * h[i][j] * v[j] for i in range(size) for j in range(size)) % p
+
+    rest = [tuple(int(i == j) for j in range(size)) for i in range(size)]
+    rows = []
+    while rest:
+        e = rest.pop(0)
+        k = next((k for k, f in enumerate(rest) if omega(e, f)), None)
+        if k is None:
+            raise InvalidFormError("h is degenerate")
+        f = rest.pop(k)
+        inv = pow(omega(e, f), -1, p)
+        f = tuple(v * inv % p for v in f)
+        rest = [tuple((w_i - omega(w, f) * e_i + omega(w, e) * f_i) % p
+                      for w_i, e_i, f_i in zip(w, e, f)) for w in rest]
+        rows += [e, f]
+    return tuple(rows)
 
 
 def _validated_h(p: int, n: int, h) -> tuple[tuple[int, ...], ...]:

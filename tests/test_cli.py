@@ -7,8 +7,8 @@ import time
 
 import pytest
 
-from child_process import run_weylkit
-from weylkit import cli
+from child_process import run_python, run_weylkit
+from weylkit import cli, norm
 from weylkit.cli import ConfigError, findim_preset, parse_config, run
 from weylkit.elements import format_element, parse_element
 from weylkit.errors import InvalidFormError
@@ -328,6 +328,84 @@ def test_exit_code_3_budget():
         }
     )
     assert proc.returncode == 3
+
+
+def test_norm_budget_exits_3(monkeypatch):
+    monkeypatch.setattr(norm, "NORM_BUDGET", 10)
+    rep, code = run(cfg("norm", p=5, n=2, params={"element": "g1 + g2"}))
+    assert code == 3
+    [check] = rep.checks
+    assert check["name"] == "budget" and not check["passed"]
+    assert check["detail"].startswith(
+        "determinant: budget of NORM_BUDGET = 10 term products exceeded at column ")
+    assert check["detail"].endswith(" of a 25 x 25 matrix")
+
+
+@pytest.mark.parametrize("command,params", [
+    ("diagram-check", {"trials": 10}), ("diagram-check", {"trials": 50}), ("report-all", {}),
+], ids=["diagram-10", "diagram-50", "report-all"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_norm_commands_finish_at_n2(p, command, params):
+    # with the p^(2n) determinant these ran past 60 s at (3, 2) and (5, 2);
+    # the split norm takes at most 0.5 s
+    start = time.perf_counter()
+    rep, code = run(cfg(command, p=p, n=2, params=params))
+    assert time.perf_counter() - start < 10.0
+    assert code == 0 and rep.all_passed
+
+
+def test_norm_budget_stops_diagram_check_at_7_2():
+    # one of the first ten seed-0 elements at (7, 2) needs about 45 million
+    # term products; the budget stops it with exit 3 instead of a 20 s run
+    start = time.perf_counter()
+    rep, code = run(cfg("diagram-check", p=7, n=2, params={"trials": 10}))
+    assert time.perf_counter() - start < 30.0
+    assert code == 3
+    [check] = rep.checks
+    assert check["name"] == "budget"
+    assert check["detail"].startswith("determinant: budget of NORM_BUDGET = ")
+
+
+def test_sections_budget_exits_3_before_listing():
+    # k = 60 at (2, 2) has C(64, 4) = 635,376 monomials (8 s to print them)
+    start = time.perf_counter()
+    rep, code = run(cfg("sections", p=2, n=2, params={"k": 60}))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    [check] = rep.checks
+    assert check["name"] == "budget"
+    assert check["detail"] == ("sections: C(k + 2n, 2n) = C(64, 4) = 635376 monomials "
+                               f"exceed the budget SECTIONS_BUDGET = {norm.SECTIONS_BUDGET}")
+
+
+NUMPY_FREE = """
+import json, sys
+from weylkit import cli
+commands = [
+    ("nf", {"element": "g2*g1"}), ("mul", {"a": "g2", "b": "g1"}),
+    ("norm", {"element": "g1 + g2*g3"}), ("symbol", {"element": "g1*g2"}),
+    ("ord", {"element": "g1^3"}), ("twist", {"element": "g1", "k": 1}),
+    ("sections", {"k": 2}), ("diagram-check", {"trials": 5}),
+]
+for command, params in commands:
+    config = {"p": 3, "n": 2, "command": command, "params": params}
+    rep, code = cli.run(cli.parse_config(json.dumps(config)))
+    assert code == 0, (command, rep.checks)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+
+
+def test_norm_commands_do_not_import_numpy():
+    proc = run_python(["-c", NUMPY_FREE])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_import_weylkit_defers_numpy_to_the_findim_names():
+    proc = run_python(["-c", "import sys, weylkit; print('numpy' in sys.modules); "
+                             "print(weylkit.FinDimAlgebra.__name__, 'numpy' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\nFinDimAlgebra True\n"
 
 
 def test_table_budget_exits_3():

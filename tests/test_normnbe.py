@@ -14,8 +14,10 @@ from weylkit.errors import (
     IncompleteSearchError,
     InternalInconsistencyError,
     InvalidFormError,
+    TooLargeError,
 )
 from weylkit.norm import (
+    SECTIONS_BUDGET,
     check_norm_symbol_diagram,
     det_poly,
     global_twist_sections,
@@ -492,6 +494,116 @@ def test_packing_order_round_trip_and_division(dab):
 # -- reduced norm -------------------------------------------------------------
 
 
+def nth_root_frobenius(f: CommPoly, power: int) -> CommPoly:
+    """The unique p^power-th root of f when every exponent is divisible by
+    p^power; Frobenius fixes the coefficients, which lie in F_p."""
+    q = f.p**power
+    assert all(e % q == 0 for m in f.terms for e in m), f"{f} is not a p^{power}-th power"
+    return CommPoly({tuple(e // q for e in m): c for m, c in f.terms.items()}, f.p, f.nvars)
+
+
+def norm_by_definition(s, A) -> CommPoly:
+    """Oracle: N(s) from its definition det(L_s) = N(s)^(p^n), on the
+    p^(2n) x p^(2n) matrix of left multiplication over the center."""
+    return nth_root_frobenius(det_poly(left_mult_matrix(s, A)), A.n)
+
+
+# (h, p, n, elements, max_degree): every (p, n) where the p^(2n) oracle
+# finishes; at (3, 2) a random h takes the oracle up to 20 s at degree 2
+SPLIT_CASES = [
+    (h, p, n, count, 2) for h in ("standard", "random")
+    for p, n, count in ((2, 1, 30), (3, 1, 30), (5, 1, 20), (7, 1, 12), (2, 2, 20))
+] + [("standard", 3, 2, 12, 2), ("random", 3, 2, 12, 1)]
+
+
+@pytest.mark.parametrize("h,p,n,count,max_degree", SPLIT_CASES)
+def test_split_norm_matches_definition(monkeypatch, h, p, n, count, max_degree):
+    # the oracle's determinants are p^n times larger than the norm's budget
+    # is set for; the split norm runs under the default budget
+    rng = random.Random(1000 * p + n)
+    for _ in range(count):
+        A = weyl_presentation(p, n, None if h == "standard" else random_h(p, n, rng))
+        s = random_element(A, rng, max_degree=max_degree)
+        got = reduced_norm(s, A)
+        with monkeypatch.context() as m:
+            m.setattr(weylkit.norm, "NORM_BUDGET", 10**12)
+            assert got == norm_by_definition(s, A), (s, A.h)
+
+
+def test_darboux_change_carries_the_p2_constant(monkeypatch):
+    # g1 + g3 + g4 is a Darboux generator of this h at p = 2, so its norm is
+    # x'^2 with x' = (g1 + g3 + g4)^2 = x1 + x3 + x4 + h13 + h14 + h34, where
+    # the constant h13 + h14 + h34 = 1 comes from Jacobson's formula
+    h = ((0, 0, 1, 1), (0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 1, 0))
+    A = weyl_presentation(2, 2, h)
+    P = A.presentation
+    s = P.gen(0) + P.gen(2) + P.gen(3)
+    assert reduced_norm(s, A).format() == "1 + x4^2 + x3^2 + x1^2"
+    monkeypatch.setattr(weylkit.norm, "NORM_BUDGET", 10**12)
+    rng = random.Random(2)
+    for t in [s] + [random_element(A, rng) for _ in range(8)]:
+        assert reduced_norm(t, A) == norm_by_definition(t, A), t
+
+
+def test_reduced_norm_builds_no_left_mult_matrix(monkeypatch):
+    def left_mult(s, A):
+        raise AssertionError("reduced_norm built the p^(2n) matrix")
+
+    monkeypatch.setattr(weylkit.norm, "left_mult_matrix", left_mult)
+    rng = random.Random(6)
+    for p, n in ((2, 1), (7, 1), (2, 2), (3, 2), (5, 2)):
+        for h in (None, random_h(p, n, rng)):
+            A = weyl_presentation(p, n, h)
+            s = random_element(A, rng)
+            # the degree law deg N(s) = deg(s) p^(n-1), and the square
+            assert reduced_norm(s, A).degree() == s.degree() * p ** (n - 1)
+            assert check_norm_symbol_diagram(s, A)
+
+
+@pytest.mark.parametrize("p,n,variable", [(3, 1, 0), (2, 2, 0), (3, 2, 2)])
+def test_split_norm_checks_its_exponents(monkeypatch, p, n, variable):
+    # det_C(R_s) lies in the center, so its g1, g3 exponents are multiples of
+    # p; a g1 or g3 factor slipped into the determinant must be reported
+    det = weylkit.norm.det_poly
+
+    def off_center(M):
+        return det(M) * CommPoly.var(variable, p, 2 * n)
+
+    monkeypatch.setattr(weylkit.norm, "det_poly", off_center)
+    A = weyl(p, n)
+    with pytest.raises(InternalInconsistencyError, match="not divisible by p"):
+        reduced_norm(A.presentation.gen(1), A)
+
+
+def test_det_poly_budget(monkeypatch):
+    # det_poly charges once per row update; count the same term products
+    # call by call: |a||b| + |c||d| per mul_sub, |g||q| per quotient q
+    products = []
+    mul_sub, divide = weylkit.norm.mul_sub, Packing.divide
+
+    def counting_mul_sub(a, b, c, d, p):
+        products.append(len(a or ()) * len(b or ()) + len(c or ()) * len(d or ()))
+        return mul_sub(a, b, c, d, p)
+
+    def counting_divide(self, f, g, p):
+        q = divide(self, f, g, p)
+        products.append(len(g) * len(q))
+        return q
+
+    monkeypatch.setattr(weylkit.norm, "mul_sub", counting_mul_sub)
+    monkeypatch.setattr(Packing, "divide", counting_divide)
+    M = left_mult_matrix(NCPoly({(2, 0): 4, (1, 0): 2, (0, 2): 4}, 5), weyl(5, 1))
+    want = det_poly(M)
+    spent = sum(products)
+    assert spent > 10_000
+    monkeypatch.setattr(weylkit.norm, "NORM_BUDGET", spent - 1)
+    with pytest.raises(TooLargeError, match=rf"^determinant: budget of NORM_BUDGET = {spent - 1} "
+                                            r"term products exceeded at column \d+ of a 25 x 25 matrix$"):
+        det_poly(M)
+    monkeypatch.setattr(weylkit.norm, "NORM_BUDGET", spent)
+    assert det_poly(M) == want
+
+
 def test_norm_of_one_and_scalars():
     for p, n in ((2, 1), (3, 1), (2, 2)):
         A = weyl(p, n)
@@ -725,6 +837,31 @@ def test_sections_degree_bound_guard():
         with pytest.raises(IncompleteSearchError):
             global_twist_sections(k, k - 1, A)
         assert len(global_twist_sections(k, k, A)) == len(_monomials(2, k))
+
+
+def test_sections_list_the_degree_law_monomials():
+    for n in (1, 2):
+        for k in range(8):
+            basis = global_twist_sections(k, k, weyl(2, n))
+            assert [next(iter(b.terms)) for b in basis] == _monomials(2 * n, k)
+
+
+@pytest.mark.parametrize("n,k", [(1, 360), (2, 32)])
+def test_sections_budget(monkeypatch, n, k):
+    # k is the largest level whose C(k + 2n, 2n) monomials fit the budget
+    A = weyl(2, n)
+    count = math.comb(k + 2 * n, 2 * n)
+    assert count <= SECTIONS_BUDGET < math.comb(k + 1 + 2 * n, 2 * n)
+    assert len(global_twist_sections(k, k, A)) == count
+    with pytest.raises(TooLargeError, match=r"^sections: C\(k \+ 2n, 2n\) = "):
+        global_twist_sections(k + 1, k + 1, A)
+    # the exact budget lists, one less raises before listing
+    monkeypatch.setattr(weylkit.norm, "SECTIONS_BUDGET", count - 1)
+    exceeded = rf"= {count} monomials exceed the budget SECTIONS_BUDGET = {count - 1}$"
+    with pytest.raises(TooLargeError, match=exceeded):
+        global_twist_sections(k, k, A)
+    monkeypatch.setattr(weylkit.norm, "SECTIONS_BUDGET", count)
+    assert len(global_twist_sections(k, k, A)) == count
 
 
 def test_sections_compute_no_norm(monkeypatch):

@@ -4,9 +4,11 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from test_normnbe import random_h
+from weylkit.linalg_fp import rank
 from weylkit.errors import InvalidFormError
 from weylkit.presentations import NCPoly, Presentation
 from weylkit.weylalg import (
@@ -14,6 +16,7 @@ from weylkit.weylalg import (
     center_coordinates,
     center_membership,
     chart_embedding_check,
+    darboux_basis,
     localized_weyl,
     standard_h,
     validate_symplectic,
@@ -51,6 +54,34 @@ def test_degenerate_h_rejected():
     for p in (2, 3, 7):
         with pytest.raises(InvalidFormError, match="degenerate"):
             validate_symplectic(h, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_darboux_basis_against_rank(p):
+    # a skew form with zero diagonal has a Darboux basis iff it has full
+    # rank; B h B^T = standard_h, and B = 1 for the standard h itself
+    rng = random.Random(p)
+    seen = {True: 0, False: 0}
+    for n in (1, 2):
+        size = 2 * n
+        assert darboux_basis(standard_h(p, n), p) == tuple(
+            tuple(int(i == j) for j in range(size)) for i in range(size))
+        for _ in range(40):
+            h = [[0] * size for _ in range(size)]
+            for i, j in itertools.combinations(range(size), 2):
+                h[i][j] = rng.randrange(p)
+                h[j][i] = -h[i][j] % p
+            regular = rank(np.array(h, dtype=np.int64), p) == size
+            seen[regular] += 1
+            if not regular:
+                with pytest.raises(InvalidFormError, match="degenerate"):
+                    darboux_basis(h, p)
+                continue
+            B = darboux_basis(h, p)
+            gram = [[sum(B[j][i] * h[i][l] * B[k][l] for i in range(size) for l in range(size)) % p
+                     for k in range(size)] for j in range(size)]
+            assert tuple(map(tuple, gram)) == standard_h(p, n)
+    assert seen[True] > 20 and seen[False] > 5
 
 
 @pytest.mark.parametrize("build", [weyl_presentation, boundary_chart_presentation, chart_embedding_check])
