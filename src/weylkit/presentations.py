@@ -26,20 +26,31 @@ rules need the commutators with the invertible generator to be scalar.
 ``check_confluence`` takes one-step reductions throughout, since the closed
 forms presume the associativity the check is there to establish.
 
+Both closed forms are table-driven.  Wick's sum splits into the connected
+blocks of the pair graph (generators joined where c_ji != 0) and is the
+tensor product of their sums.  A block of one pair (every block of the
+standard h, of its localization and of the chart's gb block at n = 2)
+reads its terms C(x, k) (y)_k c^k mod p from a table indexed by x mod p
+and y mod p, built once per (p, c).  The chart's sums for v^y past u^z read
+rows indexed by (y, z mod p), filled per presentation on first use.
+
 All values are immutable after construction, so polynomials and
 presentations may be shared freely.  A ``Presentation`` holds only its
-relations and two rewrite caches, and its operations are pure: no result
-depends on the caches or on earlier calls.  Each top-level call
-(``multiply``, ``normal_form_word``, one confluence overlap) has its own
-budget of ``REWRITE_BUDGET`` rewrite steps and raises ``TooLargeError``
-naming its stage when the budget runs out.  Cached products
-cost no steps, so only whether a call runs out can depend on earlier calls.
+relations, two rewrite caches and the chart's rule-1 rows, and its
+operations are pure: no result depends on the caches or on earlier calls.
+Each top-level call (``multiply``, ``normal_form_word``, one confluence
+overlap) has its own budget of ``REWRITE_BUDGET`` rewrite steps and raises
+``TooLargeError`` naming its stage when the budget runs out.  Cached
+products cost no steps, so only whether a call runs out can depend on
+earlier calls.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -65,6 +76,99 @@ def _step_budget(stage: str) -> Steps:
     ``REWRITE_BUDGET`` raises ``TooLargeError`` naming ``stage``."""
     yield from range(REWRITE_BUDGET)
     raise TooLargeError(f"{stage}: rewriting budget of {REWRITE_BUDGET} steps exceeded")
+
+
+# The non-zero terms (monomial, coefficient mod p) of a monomial product.
+Terms = tuple[tuple[Monomial, int], ...]
+# The non-zero terms (index, coefficient mod p) of a closed-form sum.
+Row = tuple[tuple[int, int], ...]
+# One block of the pair graph: its generators (ascending), its pairs (j, i, c)
+# in those local coordinates, and c itself when the block is one pair.
+Block = tuple[tuple[int, ...], tuple[tuple[int, int, int], ...], int | None]
+
+
+@functools.lru_cache(maxsize=256)
+def _pair_blocks(pairs: tuple[tuple[int, int, int], ...]) -> tuple[Block, ...]:
+    """Split the pairs (j, i, c) of a Wick sum into the connected blocks of
+    the pair graph, generators joined where c_ji != 0.  Cached, since the
+    CLI builds its presentations afresh for each command."""
+    comps: list[set[int]] = []
+    for j, i, _ in pairs:
+        joined = {j, i}
+        for comp in [comp for comp in comps if comp & joined]:
+            joined |= comp
+            comps.remove(comp)
+        comps.append(joined)
+    blocks = []
+    for comp in sorted(comps, key=min):
+        coords = tuple(sorted(comp))
+        local = tuple((coords.index(j), coords.index(i), c)
+                      for j, i, c in pairs if j in comp)
+        blocks.append((coords, local, local[0][2] if len(local) == 1 else None))
+    return tuple(blocks)
+
+
+@functools.lru_cache(maxsize=None)
+def _contraction_table(p: int, c: int) -> tuple[tuple[Row, ...], ...]:
+    """The one-pair Wick sums mod p: for the residues 0 <= x, y < p of the
+    pair's exponents, entry [x][y] lists (k, C(x, k) (y)_k c^k mod p) for
+    0 <= k <= min(x, y), which are the k with a non-zero weight."""
+    return tuple(
+        tuple(tuple((k, math.comb(x, k) * math.perm(y, k) * c**k % p)
+                    for k in range(min(x, y) + 1))
+              for y in range(p))
+        for x in range(p)
+    )
+
+
+def _walk(p: int, pairs: tuple[tuple[int, int, int], ...], a: Monomial, b: Monomial,
+          steps: Steps) -> list[tuple[Monomial, int]]:
+    """Wick's sum for g^a * g^b over one block of several ``pairs`` (see
+    ``Presentation._contract``), walking the states (free exponents of a,
+    free exponents of b) pair by pair and merging the states that meet:
+    the free monomials with their non-zero weights mod p, the plain product
+    first.  Each non-zero term the walk forms costs one rewrite step."""
+    states = {(a, b): 1}
+    for j, i, c in pairs:
+        if not a[j] or not b[i]:
+            continue
+        grown = dict(states)
+        for (fa, fb), t in states.items():
+            x, y = fa[j], fb[i]
+            for k in range(1, p):
+                t = t * (x - k + 1) * (y - k + 1) * c * pow(k, -1, p) % p
+                if not t:
+                    break
+                next(steps)
+                key = (fa[:j] + (x - k,) + fa[j + 1:], fb[:i] + (y - k,) + fb[i + 1:])
+                grown[key] = grown.get(key, 0) + t
+        states = grown
+    out: dict[Monomial, int] = {}
+    for (fa, fb), t in states.items():
+        m = tuple(map(operator.add, fa, fb))
+        out[m] = out.get(m, 0) + t
+    return [(m, t % p) for m, t in out.items() if t % p]
+
+
+def _rule1_row(p: int, y: int, z: int) -> Row:
+    """(l, C(y, l) prod_{t<l} (z + 2t) mod p) for the l <= y with a non-zero
+    value; the product is zero from its first zero factor on."""
+    row, prod = [], 1
+    for l in range(y + 1):
+        if l:
+            prod = prod * (z + 2 * (l - 1)) % p
+            if not prod:
+                break
+        coef = math.comb(y, l) * prod % p
+        if coef:
+            row.append((l, coef))
+    return tuple(row)
+
+
+def _take(steps: Steps, n: int):
+    """Take n steps at once."""
+    if n > 0:
+        next(itertools.islice(steps, n - 1, None))
 
 
 def _normalize_terms(terms: dict[Monomial, int], p: int) -> dict[Monomial, int]:
@@ -180,18 +284,23 @@ class Presentation:
                 )
             rel[(j, i)] = c
         self.relations = rel
-        # (j, i, c_ji) when every commutator is a scalar, else the chart's
-        # gb block when the table is the chart's: products then take that
-        # closed form.  With both None they take one-step reductions.
+        # The blocks of the pairs (j, i, c_ji) when every commutator is a
+        # scalar, else of the chart's gb block when the table is the chart's:
+        # products then take that closed form.  With both None they take
+        # one-step reductions.
         zero = (0,) * self.ngens
-        self._wick: tuple[tuple[int, int, int], ...] | None = None
-        self._chart: tuple[tuple[int, int, int], ...] | None = None
+        self._wick: tuple[Block, ...] | None = None
+        self._chart: tuple[Block, ...] | None = None
         if all(set(c.terms) == {zero} for c in rel.values()):
-            self._wick = tuple((j, i, c.terms[zero]) for (j, i), c in sorted(rel.items()))
+            pairs = tuple((j, i, c.terms[zero]) for (j, i), c in sorted(rel.items()))
+            self._wick = _pair_blocks(pairs)
         else:
-            self._chart = self._chart_table()
+            kappa = self._chart_table()
+            if kappa is not None:
+                self._chart = _pair_blocks(kappa)
         self._mono_gen_cache: dict[tuple[Monomial, int, int], NCPoly] = {}
-        self._mono_mul_cache: dict[tuple[Monomial, Monomial], NCPoly] = {}
+        self._mono_mul_cache: dict[tuple[Monomial, Monomial], Terms] = {}
+        self._rule1_rows: dict[int, tuple[Row, ...]] = {}
 
     def _chart_table(self) -> tuple[tuple[int, int, int], ...] | None:
         """(j - 2, i - 2, kappa_ji) for 2 <= i < j when the table is exactly
@@ -246,6 +355,8 @@ class Presentation:
     def _check_monomial(self, m: Monomial):
         if len(m) != self.ngens:
             raise MalformedPresentationError("monomial length mismatch")
+        if m and min(m) >= 0:
+            return
         for i, e in enumerate(m):
             if e < 0 and i != self.invertible:
                 raise MalformedPresentationError(
@@ -330,53 +441,84 @@ class Presentation:
         return NCPoly(out, self.p)
 
     def _contract(
-        self, pairs: tuple[tuple[int, int, int], ...], a: Monomial, b: Monomial, steps: Steps
-    ) -> dict[tuple[Monomial, Monomial], int]:
-        """Wick's sum for g^a * g^b over ``pairs`` (j, i, c), each a
-        commutator c_ji = c times something central in the generators it
-        pairs: the states (free exponents of a, free exponents of b) with
-        their weights, the central factors left to the caller.
+        self, blocks: tuple[Block, ...], a: Monomial, b: Monomial, steps: Steps
+    ) -> list[tuple[Monomial, int]]:
+        """Wick's sum for g^a * g^b over the pairs of ``blocks`` (see
+        ``_pair_blocks``), each pair (j, i, c) a commutator c_ji = c times
+        something central in the generators it pairs: the free monomials
+        g^(a - r + b - s) with their weights mod p, the central factors left
+        to the caller.  The plain product g^(a + b) comes first.
 
         Each term contracts k_ji of a's g_j with k_ji of b's g_i (j > i),
         leaving g^(a - r) and g^(b - s) free, with r_j = sum_i k_ji and
         s_i = sum_j k_ji.  Taking the pairs in turn, a pair with x of a's
         g_j and y of b's g_i still free contributes C(x, k) (y)_k c_ji^k,
         where (y)_k is the falling factorial.  (y)_k is divisible by k!, so
-        only k < p survives mod p, and then C(x, k) = (x)_k / k! in F_p.
-        For x, y >= 0 the factor vanishes past min(x, y); a negative
-        exponent on the invertible generator is bounded by the other side of
-        its pair.  The states merge across contraction matrices, since what
-        follows depends only on them.  Each non-zero term of a contraction
-        costs one rewrite step.
+        only k < p survives mod p; then C(x, k) = (x)_k / k! in F_p, and
+        both factors are polynomials in x and y, so they depend only on
+        x mod p and y mod p (a negative exponent on the invertible
+        generator included).  The product stops at its first zero factor.
+
+        Generators in different blocks of the pair graph commute, so the
+        sum is the tensor product of one sum per block: each block rewrites
+        the exponents of its own generators in every term so far.  A block
+        of one pair reads its terms from ``_contraction_table`` by
+        (c, x mod p, y mod p), and one whose row is the plain term alone
+        leaves the terms as they are.  A block of several pairs takes its
+        terms pair by pair (``_walk``).  Each non-zero term past the plain
+        product costs one rewrite step: a block's own terms as the block
+        forms them (a walk also pays for terms that later merge), and each
+        term that combines the terms of two or more blocks as the tensor
+        product forms it.
         """
         p = self.p
-        states = {(a, b): 1}
-        for j, i, c in pairs:
-            if not a[j] or not b[i]:
-                continue
-            grown = dict(states)
-            for (fa, fb), t in states.items():
-                x, y = fa[j], fb[i]
-                for k in range(1, p):
-                    t = t * (x - k + 1) * (y - k + 1) * c * pow(k, -1, p) % p
-                    if not t:
-                        break
-                    next(steps)
-                    key = (fa[:j] + (x - k,) + fa[j + 1:], fb[:i] + (y - k,) + fb[i + 1:])
-                    grown[key] = grown.get(key, 0) + t
-            states = grown
-        return states
+        terms = [(tuple(map(operator.add, a, b)), 1)]
+        for coords, pairs, c in blocks:
+            if c is not None:
+                i, j = coords
+                row = _contraction_table(p, c)[a[j] % p][b[i] % p]
+                if len(row) == 1:
+                    continue
+                _take(steps, len(terms) * (len(row) - 1))
+                si, sj = a[i] + b[i], a[j] + b[j]
+                grown = []
+                for m, t in terms:
+                    grown.append((m, t))
+                    m = list(m)
+                    for k, w in row[1:]:
+                        m[i], m[j] = si - k, sj - k
+                        grown.append((tuple(m), t * w % p))
+            else:
+                local = _walk(p, pairs, tuple(a[g] for g in coords),
+                              tuple(b[g] for g in coords), steps)
+                _take(steps, (len(terms) - 1) * (len(local) - 1))
+                grown = []
+                for m, t in terms:
+                    grown.append((m, t))
+                    m = list(m)
+                    for s, w in local[1:]:
+                        for g, e in zip(coords, s):
+                            m[g] = e
+                        grown.append((tuple(m), t * w % p))
+            terms = grown
+        return terms
 
-    def _wick_mul(self, a: Monomial, b: Monomial, steps: Steps) -> NCPoly:
+    def _wick_mul(self, a: Monomial, b: Monomial, steps: Steps) -> Terms:
         """g^a * g^b by Wick's theorem when every c_ji is a scalar: the
-        contraction states of ``_contract``, each read as g^(a - r + b - s)."""
-        out: dict[Monomial, int] = {}
-        for (fa, fb), t in self._contract(self._wick, a, b, steps).items():
-            m = tuple(map(sum, zip(fa, fb)))
-            out[m] = out.get(m, 0) + t
-        return NCPoly(out, self.p)
+        terms of ``_contract``, each monomial read as it stands."""
+        return tuple(self._contract(self._wick, a, b, steps))
 
-    def _chart_mul(self, a: Monomial, b: Monomial, steps: Steps) -> NCPoly:
+    def _rule1(self, y: int) -> tuple[Row, ...]:
+        """The rows of rule 1 for v^y, indexed by z mod p: row z lists the
+        non-zero (l, C(y, l) prod_{t<l} (z + 2t) mod p) of
+        v^y u^z = sum_l C(y, l) prod_{t<l} (z + 2t) u^(z+2l) v^(y-l) on the
+        chart, which depend on z only mod p.  Filled for each y on first use."""
+        rows = self._rule1_rows.get(y)
+        if rows is None:
+            rows = self._rule1_rows[y] = tuple(_rule1_row(self.p, y, z) for z in range(self.p))
+        return rows
+
+    def _chart_mul(self, a: Monomial, b: Monomial, steps: Steps) -> Terms:
         """g^a * g^b in closed form on the boundary chart's table, with
         u = g0, v = g1 and gb = (g2, ...): [v, u] = u^3, [gb_j, v] = -u^2 gb_j
         and [gb_j, gb_i] = kappa_ji u^2.
@@ -385,81 +527,90 @@ class Presentation:
         bring u^a0 v^a1 gb^A u^b0 v^b1 gb^B to normal order:
 
         1. ad_v(u^z) = z u^(z+2), so
-           v^y u^z = sum_l C(y, l) prod_{t<l} (z + 2t) u^(z+2l) v^(y-l).
+           v^y u^z = sum_l C(y, l) prod_{t<l} (z + 2t) u^(z+2l) v^(y-l)
+           (``_rule1``).
         2. gb^A commutes with u, and gb^A v = (v - s u^2) gb^A.
         3. gb^A gb^B is Wick's sum (``_contract``) with c_ji = kappa_ji u^2;
-           u^2 commutes with every gb, so a state with c = s - |A - r|
-           contractions carries u^(2c).
+           u^2 commutes with every gb, so a term with c contractions,
+           c = (|A| + |B| - |gb|) / 2, carries u^(2c).
 
         Since (v - s u^2) u^2 = u^2 (v - (s - 2) u^2), the factor
         (v - s u^2)^b1 u^(2c) is u^(2c) (v - s' u^2)^b1 with s' = s - 2c,
         and (v - s' u^2)^b1 = sum_k C(b1, k) prod_{t<k} (2t - s') u^(2k)
-        v^(b1-k) is rule 1 conjugated by u^s'.  Each of its terms then
-        folds v^a1 past u^(b0 + 2c + 2k) by rule 1.  A product that is zero
-        mod p stays zero as t grows, so each sum stops at its first zero.
+        v^(b1-k) is rule 1 conjugated by u^s', that is rule 1 at z = -s'.
+        Each of its terms then folds v^a1 past u^(b0 + 2c + 2k) by rule 1.
         Each non-zero term past the plain product costs one rewrite step.
         """
         p = self.p
         a0, a1, A = a[0], a[1], a[2:]
         b0, b1, B = b[0], b[1], b[2:]
         s = sum(A)
-        binom_a = [math.comb(a1, m) % p for m in range(a1 + 1)]
-        binom_b = [math.comb(b1, k) % p for k in range(b1 + 1)]
-        out: dict[Monomial, int] = {}
-        for (fa, fb), w in self._contract(self._chart, A, B, steps).items():
-            c = s - sum(fa)
-            gb = tuple(map(sum, zip(fa, fb)))
-            beta = w % p
-            for k in range(b1 + 1):
-                if k:
-                    beta = beta * (2 * (k - 1) - s + 2 * c) % p
-                if not beta:
-                    break
-                if not binom_b[k]:
-                    continue
-                z = b0 + 2 * c + 2 * k
-                alpha = beta * binom_b[k] % p
-                for m in range(a1 + 1):
-                    if m:
-                        alpha = alpha * (z + 2 * (m - 1)) % p
-                    if not alpha:
-                        break
-                    t = alpha * binom_a[m] % p
-                    if not t:
-                        continue
-                    if k or m:
-                        next(steps)
-                    key = (a0 + z + 2 * m, a1 + b1 - k - m) + gb
-                    out[key] = out.get(key, 0) + t
-        return NCPoly(out, p)
+        total = s + sum(B)
+        rows_a, rows_b = self._rule1(a1), self._rule1(b1)
+        out = []
+        for gb, w in self._contract(self._chart, A, B, steps):
+            c = (total - sum(gb)) // 2
+            z0 = b0 + 2 * c
+            # the term (k, m) lands on u^(a0 + z0 + 2(k + m)) v^(a1 + b1 - k - m)
+            acc = [0] * (a1 + b1 + 1)
+            fresh = -1
+            for k, beta in rows_b[(2 * c - s) % p]:
+                row = rows_a[(z0 + 2 * k) % p]
+                fresh += len(row)
+                wb = w * beta
+                for m, alpha in row:
+                    acc[k + m] += wb * alpha
+            _take(steps, fresh)
+            for l, t in enumerate(acc):
+                if t % p:
+                    out.append(((a0 + z0 + 2 * l, a1 + b1 - l) + gb, t % p))
+        return tuple(out)
 
-    def _mono_mul(self, a: Monomial, b: Monomial, steps: Steps) -> NCPoly:
+    def _mono_mul(self, a: Monomial, b: Monomial, steps: Steps) -> Terms:
+        """The non-zero terms of g^a * g^b, from the cache when it has them.
+        A miss checks both monomials first."""
         key = (a, b)
         cached = self._mono_mul_cache.get(key)
         if cached is not None:
             return cached
+        self._check_monomial(a)
+        self._check_monomial(b)
         if self._wick is not None:
             result = self._wick_mul(a, b, steps)
         elif self._chart is not None:
             result = self._chart_mul(a, b, steps)
         else:
-            result = NCPoly({a: 1}, self.p)
+            x = NCPoly({a: 1}, self.p)
             for i, e in enumerate(b):
                 sign = 1 if e >= 0 else -1
                 for _ in range(abs(e)):
-                    result = self._poly_times_gen(result, i, sign, steps)
+                    x = self._poly_times_gen(x, i, sign, steps)
+            result = tuple(x.terms.items())
         self._mono_mul_cache[key] = result
         return result
 
     def _multiply(self, a: NCPoly, b: NCPoly, steps: Steps) -> NCPoly:
+        cache = self._mono_mul_cache
         out: dict[Monomial, int] = {}
         for ma, ca in a.terms.items():
             for mb, cb in b.terms.items():
-                for m, c in self._mono_mul(ma, mb, steps).terms.items():
-                    out[m] = out.get(m, 0) + ca * cb * c
+                terms = cache.get((ma, mb))
+                if terms is None:
+                    terms = self._mono_mul(ma, mb, steps)
+                c = ca * cb
+                for m, t in terms:
+                    out[m] = out.get(m, 0) + c * t
         return NCPoly(out, self.p)
 
     def multiply(self, a: NCPoly, b: NCPoly) -> NCPoly:
+        """a * b in normal form.  Both operands must be over F_p for this
+        presentation's p, and each monomial must be one of its PBW monomials
+        (checked when the product is not cached), else
+        ``MalformedPresentationError``."""
+        if not a.p == b.p == self.p:
+            raise MalformedPresentationError(
+                f"operands over F_{a.p} and F_{b.p} for a presentation over F_{self.p}"
+            )
         return self._multiply(a, b, _step_budget("multiply"))
 
     def commutator(self, a: NCPoly, b: NCPoly) -> NCPoly:

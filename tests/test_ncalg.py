@@ -130,6 +130,40 @@ def test_multiply_bilinear():
         assert multiply(a, b + c, P) == multiply(a, b, P) + multiply(a, c, P)
 
 
+# operands that are not elements of weyl(3, 1), with the error each must raise
+FOREIGN_OPERANDS = {
+    "length-3 monomial": (NCPoly({(1, 1, 0): 1}, 3), "monomial length mismatch"),
+    "operand over F_5": (NCPoly({(1, 1): 1}, 5), r"over F_\d and F_\d for a presentation over F_3"),
+    "g1^-1": (NCPoly({(-1, 0): 1}, 3), "negative exponent on non-invertible generator g1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOREIGN_OPERANDS))
+def test_multiply_rejects_foreign_operands(case):
+    P = weyl(3)
+    x, message = FOREIGN_OPERANDS[case]
+    for a, b in ((x, P.gen(1)), (P.gen(1), x)):
+        with pytest.raises(MalformedPresentationError, match=message):
+            P.multiply(a, b)
+        with pytest.raises(MalformedPresentationError, match=message):
+            P.commutator(a, b)
+    assert not P._mono_mul_cache
+
+
+def test_multiply_checks_monomials_only_when_not_cached(monkeypatch):
+    P = weyl(3)
+    a, b = P.poly({(2, 1): 1, (0, 3): 2}), P.poly({(1, 2): 1})
+    want = P.multiply(a, b)
+
+    def check(self, m):
+        raise AssertionError("a cached product checked its monomials")
+
+    monkeypatch.setattr(Presentation, "_check_monomial", check)
+    assert P.multiply(a, b) == want
+    with pytest.raises(AssertionError):
+        P.multiply(a, P.gen(0))
+
+
 # -- the closed-form products against one-step reductions ----------------------
 
 
@@ -153,16 +187,55 @@ def random_wick_factor(P, rng):
     return NCPoly(terms, P.p)
 
 
+def block_h(p, n, kind, rng):
+    """h of one block kind: "standard", "joined" (a random h whose pair graph
+    is one block, of several pairs at n = 2) or "permuted" (the blocks
+    (g1, g4) and (g2, g3), each with a random non-zero entry)."""
+    if kind == "standard":
+        return None
+    if kind == "permuted" and n == 2:
+        x, y = rng.randrange(1, p), rng.randrange(1, p)
+        return ((0, 0, 0, x), (0, 0, y, 0), (0, -y % p, 0, 0), (-x % p, 0, 0, 0))
+    while True:
+        h = random_h(p, n, rng)
+        if all(h[i][j] for i in range(2 * n) for j in range(2 * n) if i != j):
+            return h
+
+
+def block_shapes(P):
+    """The generators of each block of P's Wick sum and its number of pairs."""
+    return [(coords, len(pairs)) for coords, pairs, _ in P._wick]
+
+
+def wide_factor(P, rng):
+    """A monomial with exponents up to 3p, so that each residue mod p occurs
+    with several quotients; on the localization g1 also takes exponents down
+    to -3p."""
+    m = [rng.randrange(3 * P.p + 1) for _ in range(P.ngens)]
+    if P.invertible is not None:
+        m[0] = rng.randrange(-3 * P.p, 3 * P.p + 1)
+    return NCPoly({tuple(m): rng.randrange(1, P.p)}, P.p)
+
+
+# each kind of h with the blocks (generators, number of pairs) it must give
+BLOCK_KINDS = {
+    1: [("standard", [((0, 1), 1)]), ("joined", [((0, 1), 1)])],
+    2: [("standard", [((0, 1), 1), ((2, 3), 1)]), ("joined", [((0, 1, 2, 3), 6)]),
+        ("permuted", [((0, 3), 1), ((1, 2), 1)])],
+}
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("n", [1, 2])
 def test_wick_product_matches_one_step_engine(p, n):
     rng = random.Random(100 * p + n)
-    for h in (None, random_h(p, n, rng)):
+    for kind, shapes in BLOCK_KINDS[n]:
+        h = block_h(p, n, kind, rng)
         for P in (weyl_presentation(p, n, h).presentation, localized_weyl(p, n, h)):
-            assert P._wick is not None
+            assert block_shapes(P) == shapes
             Q = one_step_engine(P)
-            for _ in range(4):
-                a, b = random_wick_factor(P, rng), random_wick_factor(P, rng)
+            for factor in (random_wick_factor,) * 4 + (wide_factor,) * 3:
+                a, b = factor(P, rng), factor(P, rng)
                 assert P.multiply(a, b) == Q.multiply(a, b), (p, n, h, a, b)
             assert not P._mono_gen_cache  # the closed form served every product
 
@@ -180,6 +253,62 @@ def test_wick_multiply_budget(monkeypatch):
         P.multiply(a, a)
     monkeypatch.setattr(presentations, "REWRITE_BUDGET", 8)
     assert P.multiply(a, a) == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_contraction_table_entries(p):
+    for c in range(1, p):
+        table = presentations._contraction_table(p, c)
+        for x, y in itertools.product(range(p), repeat=2):
+            want = [(k, math.comb(x, k) * math.perm(y, k) * c**k % p) for k in range(p)]
+            assert table[x][y] == tuple((k, w) for k, w in want if w), (p, c, x, y)
+
+
+@pytest.mark.parametrize("localized", [False, True], ids=["weyl", "localized"])
+def test_wick_blocks_cost_their_tensor_product(monkeypatch, localized):
+    # at (7, 2) the pair (g2, g1) sees x = 10 = 3 and y = 9 = -5 = 2 mod 7, so
+    # e1 = 2 non-zero terms past k = 0; the pair (g4, g3) sees 11 = 4 and
+    # 12 = 5 mod 7, so e2 = 4: (1 + 2)(1 + 4) - 1 = 14 steps
+    P = localized_weyl(7, 2) if localized else weyl(7, 2)
+    a = P.poly({(1, 10, 0, 11): 1})
+    b = P.poly({(-5 if localized else 9, 0, 12, 0): 1})
+    want = one_step_engine(P).multiply(a, b)
+    assert len(want.terms) == 15
+    monkeypatch.setattr(presentations, "REWRITE_BUDGET", 13)
+    with pytest.raises(TooLargeError, match="multiply"):
+        P.multiply(a, b)
+    monkeypatch.setattr(presentations, "REWRITE_BUDGET", 14)
+    assert P.multiply(a, b) == want
+
+
+def test_wick_walk_block_beside_a_one_pair_block(monkeypatch):
+    # [g2, g1] = 1 makes a block of one pair, and [g4, g3] = [g5, g3] = 1
+    # join g3, g4, g5 into one block of two pairs.  For g2 g4 g5 * g1 g3 the
+    # pair (g2, g1) forms 1 term, the walk 2 (g4 or g5 contracted with g3),
+    # and the contracted (g2, g1) term meets those 2: 5 steps for 6 terms
+    P = Presentation(tuple(f"g{i + 1}" for i in range(5)), 5, {
+        (j, i): NCPoly({(0,) * 5: 1}, 5) for j, i in ((1, 0), (3, 2), (4, 2))
+    })
+    assert block_shapes(P) == [((0, 1), 1), ((2, 3, 4), 2)]
+    a, b = P.poly({(0, 1, 0, 1, 1): 1}), P.poly({(1, 0, 1, 0, 0): 1})
+    want = one_step_engine(P).multiply(a, b)
+    assert len(want.terms) == 6
+    monkeypatch.setattr(presentations, "REWRITE_BUDGET", 4)
+    with pytest.raises(TooLargeError, match="multiply"):
+        P.multiply(a, b)
+    monkeypatch.setattr(presentations, "REWRITE_BUDGET", 5)
+    assert P.multiply(a, b) == want
+
+
+def test_building_presentations_builds_no_table(monkeypatch):
+    def table(*args):
+        raise AssertionError("a presentation build filled a product table")
+
+    monkeypatch.setattr(presentations, "_contraction_table", table)
+    monkeypatch.setattr(presentations, "_rule1_row", table)
+    assert weyl_presentation(7, 2).presentation._wick is not None
+    assert localized_weyl(7, 2)._wick is not None
+    assert boundary_chart_presentation(7, 2).presentation._chart is not None
 
 
 def random_chart_h(p, rng):
@@ -231,6 +360,27 @@ def test_chart_multiply_budget(monkeypatch):
         P.multiply(a, b)
     monkeypatch.setattr(presentations, "REWRITE_BUDGET", 12)
     assert P.multiply(a, b) == want
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_chart_rule1_runs_full_length_at_p2(n):
+    """At p = 2 every z + 2t has the parity of z, so for odd z the products
+    prod (z + 2t) never vanish and rule 1 keeps every l with C(y, l) odd:
+    the sums run to full length, with a1 and b1 up to 3p."""
+    for y in range(7):
+        assert presentations._rule1_row(2, y, 1) == tuple(
+            (l, 1) for l in range(y + 1) if math.comb(y, l) % 2)
+        assert presentations._rule1_row(2, y, 0) == ((0, 1),)
+    P = chart(2, n)
+    Q = one_step_engine(P)
+    rng = random.Random(20 + n)
+    for a1, b1 in itertools.product(range(7), repeat=2):
+        a = [rng.randrange(7) for _ in range(P.ngens)]
+        b = [rng.randrange(7) for _ in range(P.ngens)]
+        a[1], b[1] = a1, b1
+        a, b = P.poly({tuple(a): 1}), P.poly({tuple(b): 1})
+        assert P.multiply(a, b) == Q.multiply(a, b), (a, b)
+    assert set(P._rule1_rows) == set(range(7))
 
 
 # -- commutator ---------------------------------------------------------------
