@@ -5,6 +5,10 @@ the requested algebra, runs the command, and emits a text or JSON report.
 JSON reports contain no timing and are byte-identical for identical
 (config, seed) pairs; timing is shown only in text output.
 
+Every command's params are declared once, in ``COMMANDS``: their kind and
+default.  ``parse_config`` checks a config's params against that table and
+fills in the defaults, so that a handler reads typed values only.
+
 Exit codes: 0 all checks pass, 1 check failure, 2 config error, 3 budget
 exceeded.
 
@@ -20,15 +24,11 @@ import json
 import random
 import sys
 import time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import __version__
 from .elements import format_element, parse_element
-from .errors import (
-    IncompleteSearchError,
-    TooLargeError,
-    WeylkitError,
-)
+from .errors import IncompleteSearchError, TooLargeError, WeylkitError
 from .norm import (
     check_norm_symbol_diagram,
     global_twist_sections,
@@ -83,11 +83,69 @@ def _integer(value, field: str, least: int | None = None) -> int:
     return n
 
 
-def _required(config: JobConfig, field: str):
-    """The command parameter field, or a ConfigError naming it when absent."""
-    if field not in config.params:
-        raise ConfigError(f"field {field!r}: missing")
-    return config.params[field]
+class Param(NamedTuple):
+    """One command param.  kind is "string", "integer" (>= least, if least
+    is given), "choice" (one of choices), "preset" (a findim preset name) or
+    "weights"; default is a value, a function of the params checked so far
+    and n, or None for a required param."""
+
+    kind: str
+    default: object = None
+    least: int | None = None
+    choices: tuple[str, ...] = ()
+
+
+def _preset_parts(name: str, field: str = "preset") -> tuple[str, int]:
+    """(name, 0) for T2, T3, M2 and FxF, (kind, k) for poly:<k> and
+    cyclic:<k> with k >= 1 in decimal digits and nothing after them.  Only
+    string work, so that checking a config loads no numpy."""
+    if name in ("T2", "T3", "M2", "FxF"):
+        return name, 0
+    kind, _, k = name.partition(":")
+    if kind not in ("poly", "cyclic"):
+        raise ConfigError(f"field {field!r}: unknown algebra preset {name!r}")
+    if not k.isdecimal():  # int() would also take "3 ", " 3" and "1_0"
+        raise ConfigError(f"field {field!r}: {name!r} is not {kind}:<k> with k a decimal integer")
+    return kind, _integer(k, field, 1)
+
+
+def _check_param(param: Param, value, field: str, n: int):
+    """value as the handler reads it, or a ConfigError naming field."""
+    if param.kind == "integer":
+        return _integer(value, field, param.least)
+    if param.kind == "weights":
+        if value == "u-adic":
+            return [1] + [0] * (2 * n - 1)
+        if not isinstance(value, list) or not all(type(w) is int and w >= 0 for w in value):
+            raise ConfigError(f"field {field!r}: must be \"u-adic\" or a list of integers >= 0")
+        if len(value) != 2 * n:
+            raise ConfigError(f"field {field!r}: need {2 * n} weights, one per generator, not {len(value)}")
+        return value
+    if not isinstance(value, str):
+        raise ConfigError(f"field {field!r}: {value!r} is not a string")
+    if param.kind == "choice" and value not in param.choices:
+        raise ConfigError(f"field {field!r}: {value!r} is not one of {', '.join(param.choices)}")
+    if param.kind == "preset":
+        _preset_parts(value, field)
+    return value
+
+
+def check_params(command: str, params: dict, n: int) -> dict:
+    """params checked against the command's schema, defaults filled in."""
+    schema = COMMANDS[command].params
+    for key in params:
+        if key not in schema:
+            raise ConfigError(f"field {key!r}: not a param of {command} "
+                              f"(its params: {', '.join(schema) or 'none'})")
+    checked = {}
+    for field, param in schema.items():
+        if field in params:
+            checked[field] = _check_param(param, params[field], field, n)
+        elif param.default is None:
+            raise ConfigError(f"field {field!r}: missing")
+        else:
+            checked[field] = param.default(checked, n) if callable(param.default) else param.default
+    return checked
 
 
 class JobConfig:
@@ -113,14 +171,13 @@ def parse_config(text: str) -> JobConfig:
     for key in data:
         if key not in allowed:
             raise ConfigError(f"unknown field {key!r}")
-    p = data.get("p")
-    n = data.get("n")
+    p, n = data.get("p"), data.get("n")
     if p not in SUPPORTED_P:
         raise ConfigError(f"field 'p': p must be prime <= 7 (one of {SUPPORTED_P})")
     if n not in SUPPORTED_N:
         raise ConfigError(f"field 'n': n must be one of {SUPPORTED_N}")
     command = data.get("command")
-    if command not in _DISPATCH:
+    if command not in COMMANDS:
         raise ConfigError(f"field 'command': unknown command {command!r}")
     h = data.get("h", "standard")
     if h != "standard":
@@ -133,11 +190,11 @@ def parse_config(text: str) -> JobConfig:
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("field 'params': must be an object")
-    params = dict(params)
     if "element" in data:
-        params.setdefault("element", data["element"])
+        params = {"element": data["element"], **params}
+    params = check_params(command, params, n)
     seed = data.get("seed", 0)
-    if not isinstance(seed, int) or not (0 <= seed < 2**64):
+    if type(seed) is not int or not (0 <= seed < 2**64):
         raise ConfigError("field 'seed': must be a 64-bit nonnegative integer")
     output = data.get("output", "text")
     if output not in ("text", "json"):
@@ -200,14 +257,8 @@ def _chart(config: JobConfig):
 
 def _jacobi_fail_presentation(p: int) -> Presentation:
     """[g2,g1]=g3, [g3,g1]=0, [g3,g2]=g2: fails the Jacobi identity."""
-    return Presentation(
-        ("g1", "g2", "g3"),
-        p,
-        {
-            (1, 0): NCPoly({(0, 0, 1): 1}, p),
-            (2, 1): NCPoly({(0, 1, 0): 1}, p),
-        },
-    )
+    relations = {(1, 0): NCPoly({(0, 0, 1): 1}, p), (2, 1): NCPoly({(0, 1, 0): 1}, p)}
+    return Presentation(("g1", "g2", "g3"), p, relations)
 
 
 def findim_preset(name: str, p: int) -> FinDimAlgebra:
@@ -221,25 +272,20 @@ def findim_preset(name: str, p: int) -> FinDimAlgebra:
         upper_triangular_algebra,
     )
 
-    if name == "T2":
-        return upper_triangular_algebra(2, p)
-    if name == "T3":
-        return upper_triangular_algebra(3, p)
-    if name == "M2":
+    kind, k = _preset_parts(name)
+    if kind in ("T2", "T3"):
+        return upper_triangular_algebra(int(kind[1]), p)
+    if kind == "M2":
         return full_matrix_algebra(2, p)
-    if name == "FxF":
+    if kind == "FxF":
         one = truncated_polynomial_algebra(p, 1)
         return product_algebra(one, one)
-    if isinstance(name, str) and name.startswith(("poly:", "cyclic:")):
-        kind, _, k = name.partition(":")
-        if not k.isdecimal():  # int() would also take "3 ", " 3" and "1_0"
-            raise ConfigError(f"field 'preset': {name!r} is not {kind}:<k> with k a decimal integer")
-        build = truncated_polynomial_algebra if kind == "poly" else cyclic_group_algebra
-        return build(p, _integer(k, "preset", 1))
-    raise ConfigError(f"field 'preset': unknown algebra preset {name!r}")
+    build = truncated_polynomial_algebra if kind == "poly" else cyclic_group_algebra
+    return build(p, k)
 
 
 def module_preset(name: str, A: FinDimAlgebra) -> FDModule:
+    """The module preset regular, zero or top (A / rad A) over A."""
     from .homology import FDModule
     from .localring import semisimple_quotient
 
@@ -250,7 +296,7 @@ def module_preset(name: str, A: FinDimAlgebra) -> FDModule:
     if name == "top":
         _, proj, lift = semisimple_quotient(A)
         return FDModule(A, proj @ A.mult_ops("left") @ lift.T % A.p)
-    raise ConfigError(f"unknown module preset {name!r}")
+    raise ValueError(f"unknown module preset {name!r}")
 
 
 # -- command handlers ---------------------------------------------------------
@@ -258,7 +304,7 @@ def module_preset(name: str, A: FinDimAlgebra) -> FDModule:
 
 def _cmd_nf(config: JobConfig, rep: Report):
     A = _weyl(config)
-    x = parse_element(_required(config, "element"), A.presentation)
+    x = parse_element(config.params["element"], A.presentation)
     rep.result["normal_form"] = format_element(x, A.presentation)
     rep.add_check("normal_form_computed", True)
 
@@ -266,22 +312,22 @@ def _cmd_nf(config: JobConfig, rep: Report):
 def _cmd_mul(config: JobConfig, rep: Report):
     A = _weyl(config)
     P = A.presentation
-    a = parse_element(_required(config, "a"), P)
-    b = parse_element(_required(config, "b"), P)
+    a = parse_element(config.params["a"], P)
+    b = parse_element(config.params["b"], P)
     rep.result["product"] = format_element(P.multiply(a, b), P)
     rep.add_check("product_computed", True)
 
 
 def _cmd_norm(config: JobConfig, rep: Report):
     A = _weyl(config)
-    s = parse_element(_required(config, "element"), A.presentation)
+    s = parse_element(config.params["element"], A.presentation)
     rep.result["norm"] = reduced_norm(s, A).format()
     rep.add_check("norm_computed", True)
 
 
 def _cmd_symbol(config: JobConfig, rep: Report):
     A = _weyl(config)
-    s = parse_element(_required(config, "element"), A.presentation)
+    s = parse_element(config.params["element"], A.presentation)
     sym = principal_symbol(s, A)
     rep.result["degree"] = sym.degree
     rep.result["symbol"] = sym.poly.format()
@@ -294,23 +340,17 @@ def _random_element(P: Presentation, rng: random.Random, max_degree: int) -> NCP
         m = [0] * P.ngens
         for _ in range(rng.randrange(0, max_degree + 1)):
             m[rng.randrange(P.ngens)] += 1
-        if sum(m) > max_degree:
-            continue
         terms[tuple(m)] = rng.randrange(1, P.p)
     return NCPoly(terms, P.p) if terms else P.one()
 
 
 def _cmd_diagram_check(config: JobConfig, rep: Report):
     A = _weyl(config)
-    trials = _integer(config.params.get("trials", 50), "trials", 0)
-    max_degree = _integer(config.params.get("max_degree", 4), "max_degree", 0)
+    trials, max_degree = config.params["trials"], config.params["max_degree"]
     rng = random.Random(config.seed)
     passed = 0
     for _ in range(trials):
-        s = _random_element(A.presentation, rng, max_degree)
-        if s.is_zero():
-            s = A.presentation.one()
-        if check_norm_symbol_diagram(s, A):
+        if check_norm_symbol_diagram(_random_element(A.presentation, rng, max_degree), A):
             passed += 1
     rep.result["trials"] = trials
     rep.add_check("diagram_commutes", passed == trials, f"{passed}/{trials}")
@@ -318,88 +358,58 @@ def _cmd_diagram_check(config: JobConfig, rep: Report):
 
 def _cmd_ord(config: JobConfig, rep: Report):
     A = _weyl(config)
-    s = parse_element(_required(config, "element"), A.presentation)
-    f = center_coordinates(s, A)
-    v = ord_at_H_dagger(f)
+    s = parse_element(config.params["element"], A.presentation)
+    v = ord_at_H_dagger(center_coordinates(s, A))
     rep.result["ord"] = "inf" if v == float("inf") else int(v)
     rep.add_check("ord_computed", True)
 
 
 def _cmd_twist(config: JobConfig, rep: Report):
     A = _weyl(config)
-    s = parse_element(_required(config, "element"), A.presentation)
-    k = _integer(_required(config, "k"), "k")
-    member = twist_membership(s, k, A)
+    s = parse_element(config.params["element"], A.presentation)
+    member = twist_membership(s, config.params["k"], A)
     rep.result["member"] = member
     rep.add_check("twist_membership_computed", True, f"member={member}")
 
 
 def _cmd_sections(config: JobConfig, rep: Report):
     A = _weyl(config)
-    k = _integer(_required(config, "k"), "k")
-    bound = _integer(config.params.get("degree_bound", max(k, 0)), "degree_bound")
-    basis = global_twist_sections(k, bound, A)
+    basis = global_twist_sections(config.params["k"], config.params["degree_bound"], A)
     rep.result["basis"] = [format_element(b, A.presentation) for b in basis]
     rep.result["dimension"] = len(basis)
     rep.add_check("sections_computed", True, f"dim={len(basis)}")
 
 
 def _cmd_confluence(config: JobConfig, rep: Report):
-    target = config.params.get("algebra", "weyl")
+    target = config.params["algebra"]
     if target in ("weyl", "chart"):
         build = _weyl if target == "weyl" else _chart
         report = check_confluence(build(config).presentation)
         rep.add_check("confluence_passes", report.passed,
                       f"overlaps={report.overlaps_checked}")
-    elif target == "jacobi-fail":
+    else:  # jacobi-fail
         P = _jacobi_fail_presentation(config.p)
         report = check_confluence(P)
         g3 = NCPoly({(0, 0, 1): 1}, config.p)
-        expected = (
-            not report.passed
-            and len(report.discrepancies) == 1
-            and report.discrepancies[0][1] in (g3, -g3)
-        )
+        expected = (not report.passed and len(report.discrepancies) == 1
+                    and report.discrepancies[0][1] in (g3, -g3))
         rep.add_check("expected_failure_with_g3_discrepancy", expected)
-        rep.result["discrepancies"] = [
-            {"overlap": list(o), "poly": d.format(P.names)}
-            for o, d in report.discrepancies
-        ]
-    else:
-        raise ConfigError(f"unknown confluence target {target!r}")
+        rep.result["discrepancies"] = [{"overlap": list(o), "poly": d.format(P.names)}
+                                       for o, d in report.discrepancies]
     rep.result["passed"] = report.passed
 
 
 def _format_relations(P: Presentation) -> list[str]:
-    out = []
-    for j in range(P.ngens):
-        for i in range(j):
-            c = P.commutator_rel(j, i)
-            out.append(f"[{P.names[j]},{P.names[i]}] = {c.format(P.names)}")
-    return out
+    return [f"[{P.names[j]},{P.names[i]}] = {P.commutator_rel(j, i).format(P.names)}"
+            for j in range(P.ngens) for i in range(j)]
 
 
 def _cmd_gr(config: JobConfig, rep: Report):
-    target = config.params.get("algebra", "chart")
-    if target == "weyl":
-        P = _weyl(config).presentation
-    elif target == "chart":
-        P = _chart(config).presentation
-    elif target == "chart-gr":
-        P = associated_graded(
-            _chart(config).presentation,
-            WeightFiltration((1,) * (2 * config.n)),
-        )
-    else:
-        raise ConfigError(f"unknown gr target {target!r}")
-    weights = config.params.get("weights", [1] * P.ngens)
-    if weights == "u-adic":
-        weights = [1] + [0] * (P.ngens - 1)
-    if not isinstance(weights, list) or not all(isinstance(w, int) for w in weights):
-        raise ConfigError("field 'weights': must be \"u-adic\" or a list of integers")
-    if len(weights) != P.ngens:
-        raise ConfigError(f"field 'weights': need {P.ngens} weights, one per generator, not {len(weights)}")
-    G = associated_graded(P, WeightFiltration(tuple(weights)))
+    target = config.params["algebra"]
+    P = (_weyl if target == "weyl" else _chart)(config).presentation
+    if target == "chart-gr":
+        P = associated_graded(P, WeightFiltration((1,) * (2 * config.n)))
+    G = associated_graded(P, WeightFiltration(tuple(config.params["weights"])))
     rep.result["relations"] = _format_relations(G)
     rep.result["commutative"] = not G.relations
     rep.add_check("gr_computed", True)
@@ -422,32 +432,21 @@ def _central_subring(A: FinDimAlgebra, name: str, preset: str):
     from .linalg_fp import Subspace
 
     if name == "prime-field":
-        R_basis = [A.unit]
-        mR = Subspace([], A.dim, A.p)
-        return R_basis, mR
-    if name == "squares":
-        # the subring generated by x^2, central only in F_p[x]/(x^k)
-        if not preset.startswith("poly:"):
-            raise ConfigError(f"field 'subring': 'squares' needs a poly:<k> preset, not {preset!r}")
-        R_basis = [np.eye(A.dim, dtype=np.int64)[i] for i in range(0, A.dim, 2)]
-        mR = Subspace(R_basis[1:], A.dim, A.p)
-        return R_basis, mR
-    raise ConfigError(f"unknown subring preset {name!r}")
+        return [A.unit], Subspace([], A.dim, A.p)
+    # squares: the subring generated by x^2, central only in F_p[x]/(x^k)
+    if not preset.startswith("poly:"):
+        raise ConfigError(f"field 'subring': 'squares' needs a poly:<k> preset, not {preset!r}")
+    R_basis = [np.eye(A.dim, dtype=np.int64)[i] for i in range(0, A.dim, 2)]
+    return R_basis, Subspace(R_basis[1:], A.dim, A.p)
 
 
 def _cmd_localring(config: JobConfig, rep: Report):
-    from .localring import (
-        adic_comparison,
-        classify_local,
-        fiber_decomposability,
-        idempotent_ideal_check,
-        jacobson_radical,
-        maximal_two_sided_ideals,
-    )
+    from .localring import (adic_comparison, classify_local, fiber_decomposability,
+                            idempotent_ideal_check, jacobson_radical, maximal_two_sided_ideals)
 
-    preset = config.params.get("preset", "T2")
+    preset = config.params["preset"]
     A = findim_preset(preset, config.p)
-    R_basis, mR = _central_subring(A, config.params.get("subring", "prime-field"), preset)
+    R_basis, mR = _central_subring(A, config.params["subring"], preset)
     rad = jacobson_radical(A)
     maxima = maximal_two_sided_ideals(A)
     cls = classify_local(A)
@@ -456,14 +455,10 @@ def _cmd_localring(config: JobConfig, rep: Report):
     rep.result["radical_dim"] = rad.dim
     rep.result["num_maximal_ideals"] = len(maxima)
     rep.result["maximal_ideal_dims"] = sorted(M.dim for M in maxima)
-    rep.result["idempotent_maximal_ideals"] = [
-        idempotent_ideal_check(M, A) for M in maxima
-    ]
+    rep.result["idempotent_maximal_ideals"] = [idempotent_ideal_check(M, A) for M in maxima]
     rep.add_check("radical_nilpotent", A.is_nilpotent_subspace(rad))
     fiber = fiber_decomposability(A, R_basis, mR)
-    rep.result["fiber"] = (
-        f"fails_at {fiber[1]}" if isinstance(fiber, tuple) else fiber
-    )
+    rep.result["fiber"] = f"fails_at {fiber[1]}" if isinstance(fiber, tuple) else fiber
     if len(maxima) == 1:
         k0 = adic_comparison(A, maxima[0], mR)
         rep.result["adic_k0"] = k0
@@ -473,7 +468,7 @@ def _cmd_localring(config: JobConfig, rep: Report):
 def _cmd_radical(config: JobConfig, rep: Report):
     from .localring import CROSS_CHECK_BUDGET, jacobson_radical, radical_cross_check
 
-    A = findim_preset(config.params.get("preset", "T2"), config.p)
+    A = findim_preset(config.params["preset"], config.p)
     rad = jacobson_radical(A)
     rep.result["algebra"] = A.name
     rep.result["radical_dim"] = rad.dim
@@ -483,8 +478,8 @@ def _cmd_radical(config: JobConfig, rep: Report):
 
 
 def _homlab_setup(config: JobConfig):
-    A = findim_preset(config.params.get("preset", "poly:2"), config.p)
-    M = module_preset(config.params.get("module", "top"), A)
+    A = findim_preset(config.params["preset"], config.p)
+    M = module_preset(config.params["module"], A)
     return A, M
 
 
@@ -492,7 +487,7 @@ def _cmd_ext(config: JobConfig, rep: Report):
     from .homology import ext_groups, hom_module_dimension, minimal_projective_resolution
 
     A, M = _homlab_setup(config)
-    i = _integer(config.params.get("i", 0), "i", 0)
+    i = config.params["i"]
     res = minimal_projective_resolution(M, A, i + 1)
     E = ext_groups(M, A, i, res)
     rep.result["algebra"] = A.name
@@ -508,8 +503,7 @@ def _cmd_grade(config: JobConfig, rep: Report):
     from .homology import GradeBound, grade
 
     A, M = _homlab_setup(config)
-    budget = _integer(config.params.get("budget", 4), "budget", 0)
-    j = grade(M, A, budget)
+    j = grade(M, A, config.params["budget"])
     if j == float("inf"):
         rep.result["grade"] = "inf"
     elif isinstance(j, GradeBound):
@@ -523,35 +517,26 @@ def _cmd_auslander(config: JobConfig, rep: Report):
     from .homology import auslander_probe
 
     A, M = _homlab_setup(config)
-    depth = _integer(config.params.get("depth", 3), "depth", 0)
+    depth = config.params["depth"]
     report = auslander_probe(A, M, depth)
     rep.result["algebra"] = A.name
     rep.result["depth"] = depth
     rep.result["checks_run"] = len(report.checks)
     rep.result["note"] = AUSLANDER_NOTE
-    rep.result["witnesses"] = [
-        {"i": i, "submodule_dim": d, "grade": str(g)}
-        for i, d, g, ok in report.checks
-        if not ok
-    ]
+    rep.result["witnesses"] = [{"i": i, "submodule_dim": d, "grade": str(g)}
+                               for i, d, g, ok in report.checks if not ok]
     rep.add_check("auslander_condition_probe", report.passed)
 
 
 def _cmd_report_all(config: JobConfig, rep: Report):
     """A fixed battery of checks across all modules, names sorted."""
 
-    def sub(command, params, p=None, n=None):
-        c = JobConfig(
-            p or config.p,
-            n or config.n,
-            "standard",
-            command,
-            params,
-            config.seed,
-            config.output,
-        )
+    def sub(command, params, p=None):
+        params = check_params(command, params, config.n)
+        c = JobConfig(p or config.p, config.n, "standard", command, params,
+                      config.seed, config.output)
         r = Report(c)
-        _DISPATCH[command](c, r)
+        COMMANDS[command].handler(c, r)
         for chk in r.checks:
             rep.add_check(f"{command}.{chk['name']}", chk["passed"], chk["detail"])
         return r.result
@@ -567,44 +552,57 @@ def _cmd_report_all(config: JobConfig, rep: Report):
     rep.result["gr_chart"] = sub("gr", {"algebra": "chart"})
     rep.result["localring_T2"] = sub("localring", {"preset": "T2"}, p=2)
     rep.result["radical_poly2"] = sub("radical", {"preset": "poly:2"}, p=2)
-    rep.result["ext_poly2"] = sub(
-        "ext", {"preset": "poly:2", "module": "top", "i": 0}, p=2
-    )
-    rep.result["grade_poly2"] = sub(
-        "grade", {"preset": "poly:2", "module": "top"}, p=2
-    )
+    rep.result["ext_poly2"] = sub("ext", {"preset": "poly:2", "module": "top", "i": 0}, p=2)
+    rep.result["grade_poly2"] = sub("grade", {"preset": "poly:2", "module": "top"}, p=2)
     rep.result["auslander_poly2"] = sub(
-        "auslander", {"preset": "poly:2", "module": "top", "depth": 2}, p=2
-    )
+        "auslander", {"preset": "poly:2", "module": "top", "depth": 2}, p=2)
     rep.result["note"] = AUSLANDER_NOTE
 
 
-_DISPATCH = {
-    "nf": _cmd_nf,
-    "mul": _cmd_mul,
-    "norm": _cmd_norm,
-    "symbol": _cmd_symbol,
-    "diagram-check": _cmd_diagram_check,
-    "ord": _cmd_ord,
-    "twist": _cmd_twist,
-    "sections": _cmd_sections,
-    "confluence": _cmd_confluence,
-    "gr": _cmd_gr,
-    "chart-check": _cmd_chart_check,
-    "localring": _cmd_localring,
-    "radical": _cmd_radical,
-    "ext": _cmd_ext,
-    "grade": _cmd_grade,
-    "auslander": _cmd_auslander,
-    "report-all": _cmd_report_all,
+class Command(NamedTuple):
+    handler: Callable[[JobConfig, Report], None]
+    params: dict[str, Param]
+
+
+ELEMENT = Param("string")
+HOMLAB = {"preset": Param("preset", "poly:2"),
+          "module": Param("choice", "top", choices=("regular", "zero", "top"))}
+
+COMMANDS = {
+    "nf": Command(_cmd_nf, {"element": ELEMENT}),
+    "mul": Command(_cmd_mul, {"a": ELEMENT, "b": ELEMENT}),
+    "norm": Command(_cmd_norm, {"element": ELEMENT}),
+    "symbol": Command(_cmd_symbol, {"element": ELEMENT}),
+    "diagram-check": Command(_cmd_diagram_check, {"trials": Param("integer", 50, least=0),
+                                                  "max_degree": Param("integer", 4, least=0)}),
+    "ord": Command(_cmd_ord, {"element": ELEMENT}),
+    "twist": Command(_cmd_twist, {"element": ELEMENT, "k": Param("integer")}),
+    "sections": Command(_cmd_sections, {
+        "k": Param("integer"),
+        "degree_bound": Param("integer", lambda params, n: max(params["k"], 0))}),
+    "confluence": Command(_cmd_confluence, {
+        "algebra": Param("choice", "weyl", choices=("weyl", "chart", "jacobi-fail"))}),
+    "gr": Command(_cmd_gr, {
+        "algebra": Param("choice", "chart", choices=("weyl", "chart", "chart-gr")),
+        "weights": Param("weights", lambda params, n: [1] * (2 * n))}),
+    "chart-check": Command(_cmd_chart_check, {}),
+    "localring": Command(_cmd_localring, {
+        "preset": Param("preset", "T2"),
+        "subring": Param("choice", "prime-field", choices=("prime-field", "squares"))}),
+    "radical": Command(_cmd_radical, {"preset": Param("preset", "T2")}),
+    "ext": Command(_cmd_ext, {**HOMLAB, "i": Param("integer", 0, least=0)}),
+    "grade": Command(_cmd_grade, {**HOMLAB, "budget": Param("integer", 4, least=0)}),
+    "auslander": Command(_cmd_auslander, {**HOMLAB, "depth": Param("integer", 3, least=0)}),
+    "report-all": Command(_cmd_report_all, {}),
 }
+"""Each command's handler and its params, in the order they are checked."""
 
 
 def run(config: JobConfig) -> tuple[Report, int]:
     rep = Report(config)
     start = time.monotonic()
     try:
-        _DISPATCH[config.command](config, rep)
+        COMMANDS[config.command].handler(config, rep)
     except (TooLargeError, IncompleteSearchError) as e:
         rep.add_check("budget", False, str(e))
         rep.elapsed = time.monotonic() - start

@@ -1,5 +1,6 @@
 """Config parsing, subcommand dispatch, exit codes, reproducibility."""
 
+import io
 import itertools
 import json
 import pathlib
@@ -242,7 +243,9 @@ def test_exit_code_2_config_error():
     assert proc.returncode == 2
 
 
-MALFORMED_PARAMS = [
+# cases the schema cannot generate: preset syntax, weights and the one rule
+# that spans two fields (squares needs a poly:<k> preset)
+HAND_WRITTEN_MALFORMED = [
     ("radical", {"preset": "poly:abc"}, "preset"),
     ("radical", {"preset": "poly:0"}, "preset"),
     ("radical", {"preset": "cyclic:-1"}, "preset"),
@@ -251,40 +254,121 @@ MALFORMED_PARAMS = [
     ("radical", {"preset": "poly:3 "}, "preset"),
     ("radical", {"preset": "poly: 3"}, "preset"),
     ("radical", {"preset": "poly:1_0"}, "preset"),
-    ("twist", {"element": "g1", "k": "x"}, "k"),
-    ("diagram-check", {"trials": "abc"}, "trials"),
-    ("diagram-check", {"trials": -1}, "trials"),
-    ("diagram-check", {"max_degree": -1}, "max_degree"),
-    ("ext", {"i": -1}, "i"),
-    ("ext", {"i": True}, "i"),
-    ("ext", {"i": 1.7}, "i"),
-    ("diagram-check", {"trials": 2.5}, "trials"),
-    ("norm", {}, "element"),
-    ("mul", {"a": "g1"}, "b"),
-    ("twist", {"element": "g1"}, "k"),
-    ("sections", {}, "k"),
-    ("twist", {"element": "g1", "k": True}, "k"),
-    ("grade", {"budget": -1}, "budget"),
-    ("auslander", {"depth": -1}, "depth"),
     ("gr", {"weights": "x"}, "weights"),
     ("gr", {"weights": [1, 1, 1, 1]}, "weights"),
     ("gr", {"weights": [1]}, "weights"),
+    ("gr", {"weights": [True, 1]}, "weights"),
+    ("gr", {"weights": [-1, 1]}, "weights"),
+    ("gr", {"weights": [1.0, 1]}, "weights"),
     ("localring", {"preset": "M2", "subring": "squares"}, "subring"),
     ("localring", {"preset": "cyclic:4", "subring": "squares"}, "subring"),
     ("localring", {"preset": "T2", "subring": "squares"}, "subring"),
     ("localring", {"preset": "FxF", "subring": "squares"}, "subring"),
 ]
 
+# a valid value for each kind of required param
+REQUIRED_VALUE = {"string": "g1", "integer": 1}
+
+
+def generated_malformed():
+    """Per command and field of cli.COMMANDS: each integer field given a
+    non-integer and a value below its bound, each string-valued field given
+    a non-string, each required field left out, and one unknown key."""
+    for command, (_, schema) in cli.COMMANDS.items():
+        base = {field: REQUIRED_VALUE[param.kind] for field, param in schema.items() if param.default is None}
+        for field, param in schema.items():
+            if param.kind == "integer":
+                bad = ["abc", True, 2.5] + ([] if param.least is None else [param.least - 1])
+            else:
+                bad = [5, None, [1]] if param.kind in ("string", "choice", "preset") else []
+            yield from ((command, {**base, field: value}, field) for value in bad)
+            if param.default is None:
+                yield command, {key: v for key, v in base.items() if key != field}, field
+        yield command, {**base, "trails": 3}, "trails"
+
+
+MALFORMED_PARAMS = HAND_WRITTEN_MALFORMED + list(generated_malformed())
+
 
 @pytest.mark.parametrize("command,params,field", MALFORMED_PARAMS, ids=[
     f"{command}-" + ",".join(f"{k}={v}" for k, v in params.items()) for command, params, _ in MALFORMED_PARAMS
 ])
-def test_malformed_params_exit_2(command, params, field):
-    proc = run_cli({"p": 2, "n": 1, "command": command, "params": params})
-    assert proc.returncode == 2
-    assert proc.stdout == ""
+def test_malformed_params_exit_2(command, params, field, monkeypatch, capsys):
+    # in process, through the same main() as the entry point: ~130 child
+    # interpreters would add half a minute to the suite
+    config = {"p": 2, "n": 1, "command": command, "params": params}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(config)))
+    assert cli.main(["-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"config error: field {field!r}" in err
+    assert "Traceback" not in err
+
+
+def test_malformed_params_cover_every_field():
+    named = {(command, field) for command, _, field in MALFORMED_PARAMS}
+    assert {(command, field) for command, (_, schema) in cli.COMMANDS.items() for field in schema} <= named
+
+
+@pytest.mark.parametrize("config,field", [
+    ({"command": "diagram-check", "params": {"trails": 3}}, "trails"),
+    ({"command": "norm", "params": {"element": 5}}, "element"),
+    ({"command": "norm", "params": {"element": "g1"}, "seed": True}, "seed"),
+], ids=["misspelt-key", "non-string-element", "boolean-seed"])
+def test_config_errors_exit_2_end_to_end(config, field):
+    proc = run_cli({"p": 2, "n": 1, **config})
+    assert proc.returncode == 2 and proc.stdout == ""
     assert f"config error: field {field!r}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_boolean_seed_is_a_config_error():
+    # isinstance(True, int) holds, and the report would echo "seed": true
+    for seed in (True, False):
+        with pytest.raises(ConfigError, match="field 'seed'"):
+            parse_config(json.dumps({"p": 2, "n": 1, "command": "nf", "element": "g1", "seed": seed}))
+
+
+def test_parse_config_fills_in_the_defaults():
+    assert cfg("diagram-check").params == {"trials": 50, "max_degree": 4}
+    assert cfg("sections", params={"k": 3}).params == {"k": 3, "degree_bound": 3}
+    assert cfg("sections", params={"k": -2}).params == {"k": -2, "degree_bound": 0}
+    assert cfg("gr", n=2).params == {"algebra": "chart", "weights": [1, 1, 1, 1]}
+    assert cfg("gr", n=2, params={"weights": "u-adic"}).params["weights"] == [1, 0, 0, 0]
+    assert cfg("grade").params == {"preset": "poly:2", "module": "top", "budget": 4}
+    assert cfg("ext", params={"i": "2"}).params["i"] == 2
+
+
+def test_all_zero_weights_still_fail_the_filtration():
+    rep, code = run(cfg("gr", params={"weights": [0, 0]}))
+    assert code == 1
+    assert rep.checks == [{"name": "error", "passed": False, "detail": "at least one weight must be positive"}]
+
+
+def readme_param_rows():
+    """{(command, param): (kind, default, bound, required)} from README's
+    CLI params table."""
+    rows = {}
+    for line in (GOLDEN.parent.parent / "README.md").read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 6 and cells[0].startswith("`"):
+            rows[cells[0].strip("`"), cells[1].strip("`")] = tuple(cells[2:])
+    return rows
+
+
+def test_readme_lists_the_param_schema():
+    rows = readme_param_rows()
+    schema = {(command, field): param for command, (_, params) in cli.COMMANDS.items()
+              for field, param in params.items()}
+    assert rows.keys() == schema.keys()
+    for key, param in schema.items():
+        kind, default, bound, required = rows[key]
+        choices = ", ".join(f"`{c}`" for c in param.choices)
+        assert kind == (f"one of {choices}" if param.kind == "choice" else param.kind), key
+        assert bound == ("" if param.least is None else f">= {param.least}"), key
+        assert required == ("yes" if param.default is None else "no"), key
+        if not callable(param.default):  # a computed default is described in words
+            assert default == ("" if param.default is None else f"`{param.default}`"), key
 
 
 def test_integral_floats_and_integer_strings_are_integers():
