@@ -70,11 +70,13 @@ class ConfigError(Exception):
 
 def _integer(value, field: str, least: int | None = None) -> int:
     """int(value), or a ConfigError naming the config field when value is not
-    an integer or is below least.  JSON booleans and floats with a fractional
-    part are not integers here, although int(True) is 1 and int(1.7) is 1."""
+    an integer or is below least.  Booleans, fractional floats and strings
+    other than decimal digits after an optional "-" (the preset rule for k)
+    are not integers here, although int() takes True, 1.7, " 1_0 " and "+1"."""
     fractional = isinstance(value, float) and not value.is_integer()
+    spelt = isinstance(value, str) and not value.removeprefix("-").isdecimal()
     try:
-        n = None if isinstance(value, bool) or fractional else int(value)
+        n = None if isinstance(value, bool) or fractional or spelt else int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or (least is not None and n < least):

@@ -39,10 +39,10 @@ presentations may be shared freely.  A ``Presentation`` holds only its
 relations, two rewrite caches and the chart's rule-1 rows, and its
 operations are pure: no result depends on the caches or on earlier calls.
 Each top-level call (``multiply``, ``normal_form_word``, one confluence
-overlap) has its own budget of ``REWRITE_BUDGET`` rewrite steps and raises
-``TooLargeError`` naming its stage when the budget runs out.  Cached
-products cost no steps, so only whether a call runs out can depend on
-earlier calls.
+overlap) and each of a commutator's two products has its own ``Steps``
+counter of ``REWRITE_BUDGET`` rewrite steps and raises ``TooLargeError``
+naming its stage when the counter runs out.  Cached products cost no steps,
+so only whether a call runs out can depend on earlier calls.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .commpoly import format_terms
@@ -68,14 +67,22 @@ NEG_INF = float("-inf")
 
 # Rewrite steps allowed to one top-level call.
 REWRITE_BUDGET = 2_000_000
-Steps = Iterator[int]
 
 
-def _step_budget(stage: str) -> Steps:
-    """One call's rewrite steps: each ``next`` takes one, and the first past
-    ``REWRITE_BUDGET`` raises ``TooLargeError`` naming ``stage``."""
-    yield from range(REWRITE_BUDGET)
-    raise TooLargeError(f"{stage}: rewriting budget of {REWRITE_BUDGET} steps exceeded")
+class Steps:
+    """One call's budget of ``REWRITE_BUDGET`` rewrite steps: ``take(n)``
+    charges n steps with one subtraction and one compare, and the charge
+    that passes the budget raises ``TooLargeError`` naming ``stage``."""
+
+    __slots__ = ("left", "stage")
+
+    def __init__(self, stage: str):
+        self.left, self.stage = REWRITE_BUDGET, stage
+
+    def take(self, n: int = 1):
+        self.left -= n
+        if self.left < 0:
+            raise TooLargeError(f"{self.stage}: rewriting budget of {REWRITE_BUDGET} steps exceeded")
 
 
 # The non-zero terms (monomial, coefficient mod p) of a monomial product.
@@ -139,7 +146,7 @@ def _walk(p: int, pairs: tuple[tuple[int, int, int], ...], a: Monomial, b: Monom
                 t = t * (x - k + 1) * (y - k + 1) * c * pow(k, -1, p) % p
                 if not t:
                     break
-                next(steps)
+                steps.take()
                 key = (fa[:j] + (x - k,) + fa[j + 1:], fb[:i] + (y - k,) + fb[i + 1:])
                 grown[key] = grown.get(key, 0) + t
         states = grown
@@ -165,28 +172,17 @@ def _rule1_row(p: int, y: int, z: int) -> Row:
     return tuple(row)
 
 
-def _take(steps: Steps, n: int):
-    """Take n steps at once."""
-    if n > 0:
-        next(itertools.islice(steps, n - 1, None))
-
-
-def _normalize_terms(terms: dict[Monomial, int], p: int) -> dict[Monomial, int]:
-    out = {}
-    for m, c in terms.items():
-        c %= p
-        if c:
-            out[m] = c
-    return out
-
-
 class NCPoly:
     """A linear combination of PBW monomials with coefficients in F_p."""
 
     __slots__ = ("terms", "p")
 
     def __init__(self, terms: dict[Monomial, int], p: int):
-        self.terms = _normalize_terms(terms, p)
+        self.terms = out = {}
+        for m, c in terms.items():
+            c %= p
+            if c:
+                out[m] = c
         self.p = p
 
     def is_zero(self) -> bool:
@@ -355,8 +351,6 @@ class Presentation:
     def _check_monomial(self, m: Monomial):
         if len(m) != self.ngens:
             raise MalformedPresentationError("monomial length mismatch")
-        if m and min(m) >= 0:
-            return
         for i, e in enumerate(m):
             if e < 0 and i != self.invertible:
                 raise MalformedPresentationError(
@@ -387,7 +381,7 @@ class Presentation:
         cached = self._mono_gen_cache.get(key)
         if cached is not None:
             return cached
-        next(steps)
+        steps.take()
         k = None
         for t in range(self.ngens - 1, i, -1):
             if m[t] != 0:
@@ -479,7 +473,7 @@ class Presentation:
                 row = _contraction_table(p, c)[a[j] % p][b[i] % p]
                 if len(row) == 1:
                     continue
-                _take(steps, len(terms) * (len(row) - 1))
+                steps.take(len(terms) * (len(row) - 1))
                 si, sj = a[i] + b[i], a[j] + b[j]
                 grown = []
                 for m, t in terms:
@@ -491,7 +485,7 @@ class Presentation:
             else:
                 local = _walk(p, pairs, tuple(a[g] for g in coords),
                               tuple(b[g] for g in coords), steps)
-                _take(steps, (len(terms) - 1) * (len(local) - 1))
+                steps.take((len(terms) - 1) * (len(local) - 1))
                 grown = []
                 for m, t in terms:
                     grown.append((m, t))
@@ -560,21 +554,14 @@ class Presentation:
                 wb = w * beta
                 for m, alpha in row:
                     acc[k + m] += wb * alpha
-            _take(steps, fresh)
+            steps.take(fresh)
             for l, t in enumerate(acc):
                 if t % p:
                     out.append(((a0 + z0 + 2 * l, a1 + b1 - l) + gb, t % p))
         return tuple(out)
 
     def _mono_mul(self, a: Monomial, b: Monomial, steps: Steps) -> Terms:
-        """The non-zero terms of g^a * g^b, from the cache when it has them.
-        A miss checks both monomials first."""
-        key = (a, b)
-        cached = self._mono_mul_cache.get(key)
-        if cached is not None:
-            return cached
-        self._check_monomial(a)
-        self._check_monomial(b)
+        """The non-zero terms of g^a * g^b, formed on a cache miss and cached."""
         if self._wick is not None:
             result = self._wick_mul(a, b, steps)
         elif self._chart is not None:
@@ -586,35 +573,48 @@ class Presentation:
                 for _ in range(abs(e)):
                     x = self._poly_times_gen(x, i, sign, steps)
             result = tuple(x.terms.items())
-        self._mono_mul_cache[key] = result
+        self._mono_mul_cache[(a, b)] = result
         return result
 
-    def _multiply(self, a: NCPoly, b: NCPoly, steps: Steps) -> NCPoly:
-        cache = self._mono_mul_cache
-        out: dict[Monomial, int] = {}
-        for ma, ca in a.terms.items():
-            for mb, cb in b.terms.items():
-                terms = cache.get((ma, mb))
-                if terms is None:
-                    terms = self._mono_mul(ma, mb, steps)
-                c = ca * cb
-                for m, t in terms:
-                    out[m] = out.get(m, 0) + c * t
-        return NCPoly(out, self.p)
-
-    def multiply(self, a: NCPoly, b: NCPoly) -> NCPoly:
-        """a * b in normal form.  Both operands must be over F_p for this
-        presentation's p, and each monomial must be one of its PBW monomials
-        (checked when the product is not cached), else
-        ``MalformedPresentationError``."""
+    def _multiply(self, a: NCPoly, b: NCPoly, steps: Steps,
+                  out: dict[Monomial, int] | None = None, sign: int = 1) -> NCPoly | None:
+        """a * b in normal form; given ``out``, sign * a * b added into it
+        unreduced instead.  Operands over another F_p raise, and so does a
+        malformed monomial, all of a's and b's checked at the first miss."""
         if not a.p == b.p == self.p:
             raise MalformedPresentationError(
                 f"operands over F_{a.p} and F_{b.p} for a presentation over F_{self.p}"
             )
-        return self._multiply(a, b, _step_budget("multiply"))
+        cache = self._mono_mul_cache
+        acc = {} if out is None else out
+        checked = False
+        for ma, ca in a.terms.items():
+            for mb, cb in b.terms.items():
+                terms = cache.get((ma, mb))
+                if terms is None:
+                    if not checked:
+                        for m in (*a.terms, *b.terms):
+                            self._check_monomial(m)
+                        checked = True
+                    terms = self._mono_mul(ma, mb, steps)
+                c = sign * ca * cb
+                for m, t in terms:
+                    acc[m] = acc.get(m, 0) + c * t
+        return NCPoly(acc, self.p) if out is None else None
+
+    def multiply(self, a: NCPoly, b: NCPoly) -> NCPoly:
+        """a * b in normal form.  Operands over another F_p, or with a monomial
+        that is not a PBW monomial here (checked when some product is not
+        cached), raise ``MalformedPresentationError``."""
+        return self._multiply(a, b, Steps("multiply"))
 
     def commutator(self, a: NCPoly, b: NCPoly) -> NCPoly:
-        return self.multiply(a, b) - self.multiply(b, a)
+        """a * b - b * a in one pass: both products add into one dict, reduced
+        once.  Each has its own ``multiply`` budget; operands as for ``multiply``."""
+        out: dict[Monomial, int] = {}
+        self._multiply(a, b, Steps("multiply"), out)
+        self._multiply(b, a, Steps("multiply"), out, -1)
+        return NCPoly(out, self.p)
 
     def power(self, a: NCPoly, e: int) -> NCPoly:
         out = self.one()
@@ -624,7 +624,7 @@ class Presentation:
 
     def normal_form_word(self, word: Word, coeff: int = 1) -> NCPoly:
         """Normal form of a product of generator powers in written order."""
-        steps = _step_budget("normal_form_word")
+        steps = Steps("normal_form_word")
         result = self.one().scale(coeff)
         for g, e in word:
             sign = 1 if e >= 0 else -1
@@ -645,9 +645,7 @@ def normal_form(x, P: Presentation) -> NCPoly:
     ordered; coefficients are re-reduced) or a single word.
     """
     if isinstance(x, NCPoly):
-        for m in x.terms:
-            P._check_monomial(m)
-        return NCPoly(dict(x.terms), P.p)
+        return P.poly(x.terms)
     return P.normal_form_word(tuple(x))
 
 
@@ -703,7 +701,7 @@ def check_confluence(P: Presentation) -> ConfluenceReport:
     checked = 0
     for k, j, i in itertools.combinations(range(Q.ngens - 1, -1, -1), 3):
         checked += 1
-        steps = _step_budget(f"confluence overlap {(k, j, i)}")
+        steps = Steps(f"confluence overlap {(k, j, i)}")
         gk, gj, gi = Q.gen(k), Q.gen(j), Q.gen(i)
         kj = Q._multiply(gj, gk, steps) + Q.commutator_rel(k, j)
         ji = Q._multiply(gi, gj, steps) + Q.commutator_rel(j, i)

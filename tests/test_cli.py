@@ -271,14 +271,16 @@ REQUIRED_VALUE = {"string": "g1", "integer": 1}
 
 
 def generated_malformed():
-    """Per command and field of cli.COMMANDS: each integer field given a
-    non-integer and a value below its bound, each string-valued field given
-    a non-string, each required field left out, and one unknown key."""
+    """Per command and field of cli.COMMANDS: each integer field given
+    non-integers (strings that int() reads among them) and a value below
+    its bound, each string-valued field given a non-string, each required
+    field left out, and one unknown key."""
     for command, (_, schema) in cli.COMMANDS.items():
         base = {field: REQUIRED_VALUE[param.kind] for field, param in schema.items() if param.default is None}
         for field, param in schema.items():
             if param.kind == "integer":
-                bad = ["abc", True, 2.5] + ([] if param.least is None else [param.least - 1])
+                bad = ["abc", True, 2.5, " 1_0 ", "1 ", "+1"]
+                bad += [] if param.least is None else [param.least - 1]
             else:
                 bad = [5, None, [1]] if param.kind in ("string", "choice", "preset") else []
             yield from ((command, {**base, field: value}, field) for value in bad)

@@ -407,6 +407,80 @@ def test_commutator_chart_v_gb3():
     assert commutator(v, gb3, P) == want
 
 
+def commutator_engines(p, n, rng):
+    """Presentations at (p, n) on each engine, with a factor maker for each:
+    Wick's form (standard and random h, and the localization), the chart's
+    form, and one-step reductions on random_presentation's tables."""
+    h = random_h(p, n, rng)
+    yield weyl_presentation(p, n).presentation, random_wick_factor
+    yield weyl_presentation(p, n, h).presentation, random_wick_factor
+    yield localized_weyl(p, n), random_wick_factor
+    yield localized_weyl(p, n, h), random_wick_factor
+    yield chart(p, n), random_wick_factor
+    for _ in range(n):
+        yield random_presentation(rng, p), lambda P, rng: random_poly(P, rng, 4)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2])
+def test_commutator_matches_two_products(p, n):
+    """The one-pass commutator against a * b - b * a formed by multiply on a
+    fresh presentation of the same relations."""
+    rng = random.Random(1000 * p + n)
+    for P, factor in commutator_engines(p, n, rng):
+        Q = Presentation(P.names, P.p, P.relations, P.weights, P.invertible)
+        assert (P._wick is None, P._chart is None) == (Q._wick is None, Q._chart is None)
+        for _ in range(4):
+            a, b = factor(P, rng), factor(P, rng)
+            assert P.commutator(a, b) == Q.multiply(a, b) - Q.multiply(b, a), (p, n, a, b)
+            assert P.commutator(a, a).is_zero()
+
+
+def test_commutator_forms_no_difference(monkeypatch):
+    P = weyl(3, 2)
+    a, b = P.poly({(2, 1, 0, 3): 1, (1, 0, 2, 1): 2}), P.poly({(0, 3, 1, 1): 1, (1, 1, 1, 0): 1})
+    want = P.commutator(a, b)
+
+    def difference(self, other):
+        raise AssertionError("the commutator subtracted two products")
+
+    monkeypatch.setattr(NCPoly, "__sub__", difference)
+    assert weyl(3, 2).commutator(a, b) == want
+    assert P.commutator(a, b) == want
+
+
+def test_commutator_budget_per_product(monkeypatch):
+    # on the (3, 2) Weyl algebra a * b takes 8 steps ((1 + 2)(1 + 2) - 1,
+    # as in test_wick_multiply_budget) and b * a takes 5 ((1 + 2)(1 + 1) - 1,
+    # since b's g4^4 leaves a residue of 1): each fits a budget of 8, both
+    # together would need 13
+    a, b = NCPoly({(5, 5, 5, 5): 1}, 3), NCPoly({(5, 5, 5, 4): 1}, 3)
+    Q = one_step_engine(weyl(3, 2))
+    want = Q.multiply(a, b) - Q.multiply(b, a)
+    monkeypatch.setattr(presentations, "REWRITE_BUDGET", 7)
+    with pytest.raises(TooLargeError, match="multiply"):
+        weyl(3, 2).commutator(a, b)
+    monkeypatch.setattr(presentations, "REWRITE_BUDGET", 8)
+    assert weyl(3, 2).commutator(a, b) == want
+
+
+@pytest.mark.parametrize("call", ["multiply", "commutator"])
+def test_malformed_monomial_beside_cached_pairs(call):
+    # with the first pair of each product cached, the malformed monomial's
+    # pair is the first miss, and the check there must still reject it;
+    # on a cold presentation its pair is the second miss, and the check at
+    # the first miss must already have rejected it
+    good, bad = (1, 1), (-1, 0)
+    for cached in (True, False):
+        P = weyl(3)
+        x = P.gen(1)
+        if cached:
+            P.commutator(NCPoly({good: 1}, 3), x)
+        with pytest.raises(MalformedPresentationError, match="negative exponent"):
+            getattr(P, call)(NCPoly({good: 1, bad: 1}, 3), x)
+        assert not any(bad in key for key in P._mono_mul_cache)
+
+
 # -- the flat-word reducer: the oracle for check_confluence --------------------
 
 # A flat word is a product of single generators in written order.
@@ -490,9 +564,10 @@ def assert_confluence_matches_oracle(P):
     return report
 
 
-def random_presentation(rng):
-    """3 or 4 generators; each relation is zero, a scalar or linear."""
-    p = rng.choice((2, 3, 5, 7))
+def random_presentation(rng, p=None):
+    """3 or 4 generators over F_p (p drawn when not given); each relation
+    is zero, a scalar or linear."""
+    p = p or rng.choice((2, 3, 5, 7))
     ngens = rng.choice((3, 4))
     zero = (0,) * ngens
     linear = [zero] + [tuple(int(t == g) for t in range(ngens)) for g in range(ngens)]

@@ -56,10 +56,15 @@ def test_tracer_install_and_uninstall_restore_the_originals():
 def test_multiply_caches_every_top_level_pair():
     """The tracer calls a multiply warm when every pair of top-level
     monomials is a key of ``_mono_mul_cache``, so each engine must cache the
-    products it forms under that key."""
+    products it forms under that key, a commutator's two products too."""
     for P in (weylalg.weyl_presentation(3, 2).presentation, weylalg.localized_weyl(3, 2),
               weylalg.boundary_chart_presentation(3, 2).presentation):
         a = P.poly({(2, 1, 0, 3): 1, (-1 if P.invertible == 0 else 1, 0, 2, 1): 2})
         b = P.poly({(0, 3, 1, 1): 1, (1, 1, 1, 0): 1, (0, 0, 0, 0): 2})
         P.multiply(a, b)
         assert all((ma, mb) in P._mono_mul_cache for ma in a.terms for mb in b.terms)
+        # a commutator on a fresh copy caches both orders of every pair
+        Q = presentations.Presentation(P.names, P.p, P.relations, P.weights, P.invertible)
+        Q.commutator(a, b)
+        assert all((ma, mb) in Q._mono_mul_cache and (mb, ma) in Q._mono_mul_cache
+                   for ma in a.terms for mb in b.terms)
