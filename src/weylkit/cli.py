@@ -204,6 +204,21 @@ def parse_config(text: str) -> JobConfig:
     return JobConfig(p, n, h, command, params, seed, output)
 
 
+def _json_text(x, pad: str = "") -> str:
+    """json.dumps(x, sort_keys=True, indent=2), the leaves by the C encoder:
+    json's indenting encoder is pure Python and leaves a reference cycle per
+    call, so a report per command set off full garbage collections."""
+    if not (x and isinstance(x, (dict, list, tuple))):
+        return json.dumps(x)
+    inner = pad + "  "
+    if isinstance(x, dict):
+        items, ends = [f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: "
+                       f"{_json_text(v, inner)}" for k, v in sorted(x.items())], "{}"
+    else:
+        items, ends = [_json_text(v, inner) for v in x], "[]"
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
+
+
 class Report:
     def __init__(self, config: JobConfig):
         self.config = config
@@ -231,7 +246,7 @@ class Report:
 
     def render(self) -> str:
         if self.config.output == "json":
-            return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
+            return _json_text(self.as_dict()) + "\n"
         lines = [f"weylkit {__version__}  command={self.config.command}  "
                  f"p={self.config.p} n={self.config.n} seed={self.config.seed}"]
         for key in sorted(self.result):

@@ -1,5 +1,6 @@
 """Config parsing, subcommand dispatch, exit codes, reproducibility."""
 
+import gc
 import io
 import itertools
 import json
@@ -536,3 +537,27 @@ def test_report_all_matches_golden():
     got = run_cli(config).stdout
     want = (GOLDEN / "report_all_p2n1_seed7.json").read_text()
     assert got == want
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), "", 0, -1.5, float("inf"), None, True,
+    {"b": [1, (2.5, None)], "a": {"z": [], "y": {}}, "é\n\"": "☃"},
+    {2: "two", 10: [False]}, {0.5: 1, 0.25: 2}, {True: [[{}]], False: ()},
+    [[], [[]], {"k": [{"k": 1}]}],
+])
+def test_json_text_is_json_dumps_sorted_and_indented(value):
+    assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_json_render_leaves_no_cyclic_garbage():
+    config = parse_config(json.dumps({"p": 2, "n": 1, "command": "report-all", "seed": 7,
+                                      "output": "json"}))
+    rep, _ = run(config)
+    gc.disable()
+    try:
+        gc.collect()
+        texts = [rep.render() for _ in range(20)]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert texts[0] == json.dumps(rep.as_dict(), sort_keys=True, indent=2) + "\n"
