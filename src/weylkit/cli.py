@@ -68,32 +68,34 @@ class ConfigError(Exception):
     pass
 
 
-def _integer(value, field: str, least: int | None = None) -> int:
+def _integer(value, field: str, least: int | None = None, most: int | None = None) -> int:
     """int(value), or a ConfigError naming the config field when value is not
-    an integer or is below least.  Booleans, fractional floats and strings
-    other than decimal digits after an optional "-" (the preset rule for k)
-    are not integers here, although int() takes True, 1.7, " 1_0 " and "+1"."""
+    an integer or lies outside [least, most].  Booleans, fractional floats
+    and strings other than decimal digits after an optional "-" (the preset
+    rule for k) are not integers here, although int() takes True, 1.7,
+    " 1_0 " and "+1"."""
     fractional = isinstance(value, float) and not value.is_integer()
     spelt = isinstance(value, str) and not value.removeprefix("-").isdecimal()
     try:
         n = None if isinstance(value, bool) or fractional or spelt else int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
-    if n is None or (least is not None and n < least):
-        bound = "" if least is None else f" >= {least}"
+    if n is None or (least is not None and n < least) or (most is not None and n > most):
+        bound = " and".join(f" {op} {v}" for op, v in ((">=", least), ("<=", most)) if v is not None)
         raise ConfigError(f"field {field!r}: {value!r} is not an integer{bound}")
     return n
 
 
 class Param(NamedTuple):
-    """One command param.  kind is "string", "integer" (>= least, if least
-    is given), "choice" (one of choices), "preset" (a findim preset name) or
-    "weights"; default is a value, a function of the params checked so far
-    and n, or None for a required param."""
+    """One command param.  kind is "string", "integer" (>= least and
+    <= most, each if given), "choice" (one of choices), "preset" (a findim
+    preset name) or "weights"; default is a value, a function of the params
+    checked so far and n, or None for a required param."""
 
     kind: str
     default: object = None
     least: int | None = None
+    most: int | None = None
     choices: tuple[str, ...] = ()
 
 
@@ -114,7 +116,7 @@ def _preset_parts(name: str, field: str = "preset") -> tuple[str, int]:
 def _check_param(param: Param, value, field: str, n: int):
     """value as the handler reads it, or a ConfigError naming field."""
     if param.kind == "integer":
-        return _integer(value, field, param.least)
+        return _integer(value, field, param.least, param.most)
     if param.kind == "weights":
         if value == "u-adic":
             return [1] + [0] * (2 * n - 1)
@@ -590,8 +592,8 @@ COMMANDS = {
     "mul": Command(_cmd_mul, {"a": ELEMENT, "b": ELEMENT}),
     "norm": Command(_cmd_norm, {"element": ELEMENT}),
     "symbol": Command(_cmd_symbol, {"element": ELEMENT}),
-    "diagram-check": Command(_cmd_diagram_check, {"trials": Param("integer", 50, least=0),
-                                                  "max_degree": Param("integer", 4, least=0)}),
+    "diagram-check": Command(_cmd_diagram_check, {"trials": Param("integer", 50, least=0, most=1000),
+                                                  "max_degree": Param("integer", 4, least=0, most=16)}),
     "ord": Command(_cmd_ord, {"element": ELEMENT}),
     "twist": Command(_cmd_twist, {"element": ELEMENT, "k": Param("integer")}),
     "sections": Command(_cmd_sections, {

@@ -14,6 +14,12 @@ over Z splits it: A is a free left C-module on e_b = gamma_2^b1 gamma_4^b2 ..
 one p^n x p^n determinant.  Any other h goes to the standard one through a
 Darboux change of generators.
 
+The matrix of R_s is written term by term straight into the sparse rows of
+``det_poly``, each entry a packed polynomial (``commpoly.Packing``) in
+(gamma_1, x_2, gamma_3, x_4, ..); the packing is sized by the degree bound
+that Bareiss elimination needs, found in the same pass, and the determinant
+is unpacked once, into the x-coordinates.
+
 ord_{H^dagger} is the divisorial valuation at the hyperplane at infinity of
 the inverse Frobenius pullback; on central polynomials it equals -p times
 the total x-degree (u^p cuts out H and x_1 = u^{-p} on the boundary chart).
@@ -72,13 +78,14 @@ def left_mult_matrix(s: NCPoly, A: WeylAlgebra) -> list[list[CommPoly]]:
     return M
 
 
-def det_poly(M: list[list[CommPoly]]) -> CommPoly:
-    """Exact determinant by fraction-free Bareiss elimination.
+def det_poly(rows: list[dict[int, dict[int, int]]], pk: Packing, p: int) -> dict[int, int]:
+    """Exact determinant, packed, by fraction-free Bareiss elimination.
 
-    Rows are sparse dicts {column: packed polynomial} with zero entries left
-    out.  Every Bareiss entry is a minor of M, so its degree is at most the
-    sum over rows of the row's largest entry degree, and a numerator's at
-    most twice that; the packing is sized for the numerators.
+    rows[i] is row i of a square matrix over F_p[x] as a sparse dict
+    {column: packed polynomial} with zero entries left out; the rows are
+    used up.  Every Bareiss entry is a minor of the matrix, so its degree is
+    at most the sum over rows of the row's largest entry degree, and a
+    numerator's at most twice that: pk must pack monomials of that degree.
 
     A row with a zero in the pivot column k would only be rescaled by
     a_k / a_(k-1), a_k the k-th pivot.  Those factors telescope, so a row is
@@ -88,21 +95,16 @@ def det_poly(M: list[list[CommPoly]]) -> CommPoly:
 
     The pivot for column k is the entry with the fewest terms among the rows
     not yet used, then the one in the shortest row.  Any row order gives
-    minors of M, so the bound holds; the first non-zero row instead lets a
-    few (5,1) determinants swell to 129-term numerators.
+    minors of the matrix, so the bound holds; the first non-zero row instead
+    lets a few (5,1) determinants swell to 129-term numerators.
 
     The work is charged against NORM_BUDGET once per row update: |a| |b| +
     |c| |d| term products for each a*b - c*d and |den| |q| for each quotient
     q.  Past the budget it raises TooLargeError naming the column reached.
     """
-    if not M:
+    if not rows:
         raise InternalInconsistencyError("empty matrix")
-    proto = M[0][0]
-    p, nv, fam = proto.p, proto.nvars, proto.family
-    size = len(M)
-    bound = sum(max((e.degree() for e in row if e.terms), default=0) for row in M)
-    pk = Packing(nv, 2 * bound)
-    rows = [{j: pk.pack(e) for j, e in enumerate(row) if e.terms} for row in M]
+    size = len(rows)
     prev = {0: 1}
     dens = [prev] * size
     sign = 1
@@ -135,7 +137,7 @@ def det_poly(M: list[list[CommPoly]]) -> CommPoly:
             if best is None or key < best:
                 piv, best = r, key
         if piv is None:
-            return CommPoly.zero(p, nv, fam)
+            return {}
         if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
             dens[k], dens[piv] = dens[piv], dens[k]
@@ -158,7 +160,7 @@ def det_poly(M: list[list[CommPoly]]) -> CommPoly:
             rows[i], dens[i] = new, a
         prev = a
     det = current(size - 1, size - 1).get(size - 1, {})
-    return pk.unpack({m: sign * c for m, c in det.items()}, p, fam)
+    return det if sign == 1 else {m: p - c for m, c in det.items()}
 
 
 def _terms(row: dict) -> int:
@@ -231,12 +233,17 @@ def _darboux_change(A: WeylAlgebra):
 def _split_norm(s: NCPoly, A: WeylAlgebra) -> CommPoly:
     """det_C(R_s) for the standard h.  Column b is e_b s: its term g^m is
     g1^m1 x2^(m2 // p) g3^m3 x4^(m4 // p) .. e_(m2 % p, m4 % p, ..), since
-    (g1, g2) commutes with (g3, g4).  The determinant lies in Z, so every
-    g1, g3 exponent is a multiple of p and divides into an x1, x3 exponent."""
+    (g1, g2) commutes with (g3, g4).  Each term goes once into det_poly's
+    packed rows, under the key (m1, m2 // p, m3, m4 // p, ..) in row
+    (m2 % p, m4 % p, ..); distinct terms give distinct (cell, key) pairs, so
+    no coefficients add up.  The same pass finds det_poly's degree bound.
+    The determinant lies in Z, so every g1, g3 exponent is a multiple of p
+    and divides into an x1, x3 exponent."""
     p, nv = A.p, A.ngens
     P = A.presentation
     size = p**A.n
-    cells: dict[tuple[int, int], dict] = {}
+    cells = []  # (row, column, degree, key) and the coefficient of each term
+    top = [0] * size  # the largest term degree in each row
     for col, b in enumerate(itertools.product(range(p), repeat=A.n)):
         e_b = NCPoly({tuple(e for bi in b for e in (0, bi)): 1}, p)
         for m, c in P.multiply(e_b, s).terms.items():
@@ -244,13 +251,22 @@ def _split_norm(s: NCPoly, A: WeylAlgebra) -> CommPoly:
             for e in m[1::2]:
                 row = row * p + e % p
             key = tuple(e if i % 2 == 0 else e // p for i, e in enumerate(m))
-            cells.setdefault((row, col), {})[key] = c
-    zero = CommPoly.zero(p, nv)
-    M = [[zero] * size for _ in range(size)]
-    for (row, col), terms in cells.items():
-        M[row][col] = CommPoly(terms, p, nv)
+            d = sum(key)
+            if d > top[row]:
+                top[row] = d
+            cells.append((row, col, d, key, c))
+    pk = Packing(nv, 2 * sum(top))
+    w = pk.width
+    rows = [{} for _ in range(size)]
+    for row, col, packed, key, c in cells:
+        for e in key:
+            packed = packed << w | e
+        rows[row].setdefault(col, {})[packed] = c
+    mask = (1 << w) - 1
+    shifts = range(w * (nv - 1), -1, -w)
     out = {}
-    for m, c in det_poly(M).terms.items():
+    for packed, c in det_poly(rows, pk, p).items():
+        m = tuple(packed >> sh & mask for sh in shifts)
         if any(e % p for e in m[::2]):
             raise InternalInconsistencyError(
                 f"det_C(R_s) is not central: term {m} has a g1, g3 exponent not divisible by p"

@@ -273,8 +273,8 @@ REQUIRED_VALUE = {"string": "g1", "integer": 1}
 
 def generated_malformed():
     """Per command and field of cli.COMMANDS: each integer field given
-    non-integers (strings that int() reads among them) and a value below
-    its bound, each string-valued field given a non-string, each required
+    non-integers (strings that int() reads among them) and values outside
+    its bounds, each string-valued field given a non-string, each required
     field left out, and one unknown key."""
     for command, (_, schema) in cli.COMMANDS.items():
         base = {field: REQUIRED_VALUE[param.kind] for field, param in schema.items() if param.default is None}
@@ -282,6 +282,7 @@ def generated_malformed():
             if param.kind == "integer":
                 bad = ["abc", True, 2.5, " 1_0 ", "1 ", "+1"]
                 bad += [] if param.least is None else [param.least - 1]
+                bad += [] if param.most is None else [param.most + 1, 10**9, 1e300]
             else:
                 bad = [5, None, [1]] if param.kind in ("string", "choice", "preset") else []
             yield from ((command, {**base, field: value}, field) for value in bad)
@@ -342,6 +343,12 @@ def test_parse_config_fills_in_the_defaults():
     assert cfg("ext", params={"i": "2"}).params["i"] == 2
 
 
+def test_diagram_check_bounds_admit_their_edges():
+    params = {"trials": 1000, "max_degree": 16}
+    assert cfg("diagram-check", params=params).params == params
+    assert cfg("diagram-check", params={"trials": 1000.0, "max_degree": "16"}).params == params
+
+
 def test_all_zero_weights_still_fail_the_filtration():
     rep, code = run(cfg("gr", params={"weights": [0, 0]}))
     assert code == 1
@@ -368,7 +375,8 @@ def test_readme_lists_the_param_schema():
         kind, default, bound, required = rows[key]
         choices = ", ".join(f"`{c}`" for c in param.choices)
         assert kind == (f"one of {choices}" if param.kind == "choice" else param.kind), key
-        assert bound == ("" if param.least is None else f">= {param.least}"), key
+        assert bound == " and ".join(f"{op} {v}" for op, v in ((">=", param.least), ("<=", param.most))
+                                     if v is not None), key
         assert required == ("yes" if param.default is None else "no"), key
         if not callable(param.default):  # a computed default is described in words
             assert default == ("" if param.default is None else f"`{param.default}`"), key
@@ -451,6 +459,7 @@ def test_norm_budget_stops_diagram_check_at_7_2():
     [check] = rep.checks
     assert check["name"] == "budget"
     assert check["detail"].startswith("determinant: budget of NORM_BUDGET = ")
+    assert check["detail"].endswith("exceeded at column 43 of a 49 x 49 matrix")
 
 
 def test_sections_budget_exits_3_before_listing():

@@ -34,6 +34,18 @@ from weylkit.weylalg import pbw_monomials, validate_symplectic, weyl_presentatio
 # -- determinant oracles --------------------------------------------------------
 
 
+def det_matrix(M) -> CommPoly:
+    """det_poly on a matrix of CommPoly entries: the packing sized for twice
+    the sum over rows of the largest entry degree, as det_poly needs, the
+    entries packed and the determinant unpacked."""
+    proto = M[0][0]
+    p, nv, fam = proto.p, proto.nvars, proto.family
+    bound = sum(max((e.degree() for e in row if e.terms), default=0) for row in M)
+    pk = Packing(nv, 2 * bound)
+    rows = [{j: pk.pack(e) for j, e in enumerate(row) if e.terms} for row in M]
+    return pk.unpack(det_poly(rows, pk, p), p, fam)
+
+
 def _det_cofactor(M) -> CommPoly:
     """Oracle: the determinant by expansion along the first row."""
     size = len(M)
@@ -333,11 +345,11 @@ def test_det_small_examples():
     one = CommPoly.const(1, 2, 2)
     zero = CommPoly.zero(2, 2)
     x1 = CommPoly.var(0, 2, 2)
-    assert det_poly([[one, zero], [zero, one]]) == one
-    assert det_poly([[x1, zero], [zero, x1]]) == x1 * x1
+    assert det_matrix([[one, zero], [zero, one]]) == one
+    assert det_matrix([[x1, zero], [zero, x1]]) == x1 * x1
     A = weyl(2, 1)
     M = left_mult_matrix(A.presentation.gen(0), A)
-    assert det_poly(M) == x1 * x1
+    assert det_matrix(M) == x1 * x1
     assert _det_cofactor(M) == x1 * x1
 
 
@@ -368,7 +380,7 @@ def test_bareiss_matches_cofactor_random():
     for p, nv, size in itertools.product((2, 3, 5, 7), (1, 2, 3, 4), range(1, 7)):
         for _ in range(3 if size < 6 else 1):
             M = _random_sparse_matrix(rng, p, nv, size)
-            det = det_poly(M)
+            det = det_matrix(M)
             assert det == _det_cofactor(M)
             seen["swap"] += size > 1 and M[0][0].is_zero() and any(
                 not M[r][0].is_zero() for r in range(size))
@@ -383,7 +395,7 @@ def test_det_poly_matches_tuple_bareiss(p, n, count, h):
     A = weyl_presentation(p, n, None if h == "standard" else random_h(p, n, rng))
     for _ in range(count):
         M = left_mult_matrix(random_element(A, rng), A)
-        assert det_poly(M) == _det_bareiss_tuples(M)
+        assert det_matrix(M) == _det_bareiss_tuples(M)
 
 
 def test_det_poly_pivots_on_the_fewest_terms(monkeypatch):
@@ -401,7 +413,7 @@ def test_det_poly_pivots_on_the_fewest_terms(monkeypatch):
     A = weyl(5, 1)
     s = NCPoly({(2, 0): 4, (1, 0): 2, (0, 2): 4}, 5)
     M = left_mult_matrix(s, A)
-    det = det_poly(M)
+    det = det_matrix(M)
     assert sum(products) < 40_000
     assert det == _det_bareiss_tuples(M)
     assert reduced_norm(s, A).format() == "4 + 2*x1 + 4*x2^2 + 4*x1^2"
@@ -411,7 +423,7 @@ def test_det_interpolation_cross_check():
     A = weyl(2, 1)
     for s in (A.presentation.gen(0), A.presentation.gen(1)):
         M = left_mult_matrix(s, A)
-        assert det_cross_check(M, det_poly(M), trials=4, seed=1)
+        assert det_cross_check(M, det_matrix(M), trials=4, seed=1)
 
 
 # -- the packed kernel -----------------------------------------------------------
@@ -505,7 +517,7 @@ def nth_root_frobenius(f: CommPoly, power: int) -> CommPoly:
 def norm_by_definition(s, A) -> CommPoly:
     """Oracle: N(s) from its definition det(L_s) = N(s)^(p^n), on the
     p^(2n) x p^(2n) matrix of left multiplication over the center."""
-    return nth_root_frobenius(det_poly(left_mult_matrix(s, A)), A.n)
+    return nth_root_frobenius(det_matrix(left_mult_matrix(s, A)), A.n)
 
 
 # (h, p, n, elements, max_degree): every (p, n) where the p^(2n) oracle
@@ -528,6 +540,53 @@ def test_split_norm_matches_definition(monkeypatch, h, p, n, count, max_degree):
         with monkeypatch.context() as m:
             m.setattr(weylkit.norm, "NORM_BUDGET", 10**12)
             assert got == norm_by_definition(s, A), (s, A.h)
+
+
+def split_norm_by_matrix(s, A) -> CommPoly:
+    """Oracle: det_C(R_s) for the standard h from a CommPoly matrix over
+    (g1, x2, g3, x4, ..), column b holding e_b s, through det_matrix."""
+    p, nv = A.p, A.ngens
+    size = p**A.n
+    zero = CommPoly.zero(p, nv)
+    M = [[zero] * size for _ in range(size)]
+    for col, b in enumerate(itertools.product(range(p), repeat=A.n)):
+        e_b = NCPoly({tuple(e for bi in b for e in (0, bi)): 1}, p)
+        cells = {}
+        for m, c in A.presentation.multiply(e_b, s).terms.items():
+            row = 0
+            for e in m[1::2]:
+                row = row * p + e % p
+            cells.setdefault(row, {})[tuple(e if i % 2 == 0 else e // p for i, e in enumerate(m))] = c
+        for row, terms in cells.items():
+            M[row][col] = CommPoly(terms, p, nv)
+    det = det_matrix(M)
+    assert all(e % p == 0 for m in det.terms for e in m[::2]), det
+    return CommPoly({tuple(e // p if i % 2 == 0 else e for i, e in enumerate(m)): c
+                     for m, c in det.terms.items()}, p, nv)
+
+
+@pytest.mark.parametrize("h,p,n,count,kind", [
+    ("standard", 5, 2, 30, "random"), ("random", 3, 2, 30, "random"), ("standard", 7, 2, 20, "monomial"),
+])
+def test_split_norm_matches_the_commpoly_matrix(monkeypatch, h, p, n, count, kind):
+    # beyond the reach of the p^(2n) oracle, which stops at (3, 2): the split
+    # matrix built as CommPoly entries, packed by det_matrix.  For a random h
+    # the oracle runs behind reduced_norm's own Darboux change, so only the
+    # split determinant is checked here; test_split_norm_matches_definition
+    # checks the change against the definition.
+    rng = random.Random(10 * p + n)
+    for _ in range(count):
+        A = weyl_presentation(p, n, None if h == "standard" else random_h(p, n, rng))
+        if kind == "monomial":
+            s = NCPoly({tuple(rng.randrange(4) for _ in range(2 * n)): rng.randrange(1, p)}, p)
+        else:
+            s = A.presentation.one()
+            while len(s.terms) < 2:
+                s = random_element(A, rng)
+        got = reduced_norm(s, A)
+        with monkeypatch.context() as m:
+            m.setattr(weylkit.norm, "_split_norm", split_norm_by_matrix)
+            assert got == reduced_norm(s, A), (s, A.h)
 
 
 def test_darboux_change_carries_the_p2_constant(monkeypatch):
@@ -566,8 +625,11 @@ def test_split_norm_checks_its_exponents(monkeypatch, p, n, variable):
     # p; a g1 or g3 factor slipped into the determinant must be reported
     det = weylkit.norm.det_poly
 
-    def off_center(M):
-        return det(M) * CommPoly.var(variable, p, 2 * n)
+    def off_center(rows, pk, p):
+        # times the packed g_variable: one more degree, which the packing,
+        # sized for twice the degree bound, still holds
+        (g,) = pk.pack(CommPoly.var(variable, p, 2 * n))
+        return {m + g: c for m, c in det(rows, pk, p).items()}
 
     monkeypatch.setattr(weylkit.norm, "det_poly", off_center)
     A = weyl(p, n)
@@ -593,15 +655,15 @@ def test_det_poly_budget(monkeypatch):
     monkeypatch.setattr(weylkit.norm, "mul_sub", counting_mul_sub)
     monkeypatch.setattr(Packing, "divide", counting_divide)
     M = left_mult_matrix(NCPoly({(2, 0): 4, (1, 0): 2, (0, 2): 4}, 5), weyl(5, 1))
-    want = det_poly(M)
+    want = det_matrix(M)
     spent = sum(products)
     assert spent > 10_000
     monkeypatch.setattr(weylkit.norm, "NORM_BUDGET", spent - 1)
     with pytest.raises(TooLargeError, match=rf"^determinant: budget of NORM_BUDGET = {spent - 1} "
                                             r"term products exceeded at column \d+ of a 25 x 25 matrix$"):
-        det_poly(M)
+        det_matrix(M)
     monkeypatch.setattr(weylkit.norm, "NORM_BUDGET", spent)
-    assert det_poly(M) == want
+    assert det_matrix(M) == want
 
 
 def test_norm_of_one_and_scalars():

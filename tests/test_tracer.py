@@ -4,7 +4,10 @@ A traced name that is renamed or removed in src/ makes ``install`` raise, so
 it fails here instead of in a traced benchmark run."""
 
 import importlib.util
+import json
 import pathlib
+
+import pytest
 
 from weylkit import cli, commpoly, findim, homology, linalg_fp, localring, norm
 from weylkit import presentations, weylalg
@@ -51,6 +54,22 @@ def test_tracer_install_and_uninstall_restore_the_originals():
     after = bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (2, 2)])
+def test_norm_op_passes_through_det_poly_once(p, n):
+    """The benchmark's norm metrics read the calls of ``norm.det_poly``: one
+    p^n x p^n determinant per norm, its size taken from the first argument."""
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        rep, code = cli.run(cli.parse_config(json.dumps(
+            {"p": p, "n": n, "command": "norm", "element": "g1*g2 + 2*g2^2 + 1"})))
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.calls["norm.det_poly"] == 1
+    assert tracer.counts["norm.det_matrix_dim_sum"] == p**n
 
 
 def test_multiply_caches_every_top_level_pair():
