@@ -1,41 +1,140 @@
-"""Dense linear algebra over F_p built on numpy integer arrays."""
+"""Linear algebra over F_p on packed integer rows.
+
+A vector of F_p^n is one Python int: entry j sits in lane j, bits
+[j*W, (j+1)*W), with W a whole number of bytes (see ``_lanes``).  A row
+operation is one big-int multiply-add and one lane-wise reduction, a few
+big-int operations where a numpy row costs a call per row and per entry
+read.  ``rref``, ``rank``, ``nullspace`` and ``Subspace`` share one echelon
+kernel, ``_insert``, and numpy sees a row only when it is packed or
+unpacked.  ``nonsingular`` eliminates a whole stack of small matrices at
+once and stays on numpy arrays, where one array operation serves every
+matrix of the stack.
+"""
 
 from __future__ import annotations
+
+import bisect
+import functools
 
 import numpy as np
 
 
+@functools.lru_cache
+def _lanes(p: int, n: int) -> tuple[int, int, int, int, int]:
+    """(W, s, m, Q, lane) for rows of n entries over F_p.
+
+    A row update x + (p - f)*b, with the lanes of x and b in [0, p) and
+    1 <= f < p, leaves every lane at most (p - 1) + (p - 1)^2 = p^2 - p,
+    and scaling a row by a unit at most (p - 1)^2.  Each lane x < p^2 is
+    then reduced mod p by one Barrett step for all lanes at once:
+    x - floor(x*m / 2^s)*p with m = ceil(2^s / p).
+
+    *The reduction.*  Take 2^s >= p^3 and write m*p = 2^s + e with
+    0 <= e < p, and x = q*p + r with 0 <= r < p.  Then
+    x*m / 2^s = q + (r + x*e / 2^s) / p, and x*e < p^2 * p <= 2^s, so
+    r + x*e / 2^s < r + 1 <= p: the floor is q, and x - q*p = r.
+
+    *The lane width.*  W = s + bits(p).  From x <= p^2 - 1 and
+    m <= (2^s + p - 1) / p, x*m < p*(2^s + p) = p*2^s + p^2 <= (p + 1)*2^s
+    <= 2^(s + bits(p)), using p^2 <= 2^s and p < 2^bits(p).  So x*m fits in
+    its lane: multiplying the packed row by m carries nothing from one lane
+    into the next, shifting it right by s and masking each lane to its low
+    W - s bits (the mask Q) gives every floor(x*m / 2^s) at once, and x - q*p
+    borrows nothing since every lane of it is r >= 0.
+
+    W is rounded up to 8, 16, 32 or 64 bits, or to a multiple of 64, and
+    s = W - bits(p) keeps 2^s >= p^3, so that numpy packs and unpacks rows
+    as arrays of unsigned words.  p = 2 needs no reduction: a lane holds 0
+    or 1 and a row update is an XOR.
+    """
+    need = (p**3 - 1).bit_length() + p.bit_length()  # the least s, plus bits(p)
+    W = next(w for w in (8, 16, 32, 64) if w >= need) if need <= 64 else 64 * -(-need // 64)
+    s = W - p.bit_length()
+    ones = ((1 << n * W) - 1) // ((1 << W) - 1)  # a 1 in each of the n lanes
+    return W, s, -(-(1 << s) // p), ones * ((1 << W - s) - 1), (1 << W) - 1
+
+
+@functools.lru_cache
+def _words(p: int) -> tuple[np.dtype, int]:
+    """The unsigned word type of a lane and the words per lane: a lane
+    wider than 64 bits holds its entry (below 2^63) in its first word."""
+    W = _lanes(p, 0)[0]
+    return np.dtype(f"<u{min(W, 64) // 8}"), max(W // 64, 1)
+
+
+def _pack(a: np.ndarray, p: int) -> list[int]:
+    """The rows of a k x n array with entries in [0, p), packed."""
+    k, n = a.shape
+    dtype, per_lane = _words(p)
+    words = np.zeros((k, n, per_lane), dtype=dtype)
+    words[:, :, 0] = a
+    data, size = words.tobytes(), n * per_lane * dtype.itemsize
+    return [int.from_bytes(data[i * size : (i + 1) * size], "little") for i in range(k)]
+
+
+def _unpack(rows: list[int], n: int, p: int) -> np.ndarray:
+    """The packed rows as a len(rows) x n int64 array."""
+    dtype, per_lane = _words(p)
+    data = b"".join(x.to_bytes(n * per_lane * dtype.itemsize, "little") for x in rows)
+    words = np.frombuffer(data, dtype=dtype).reshape(len(rows), n, per_lane)
+    return words[:, :, 0].astype(np.int64)
+
+
+def _residue(x: int, rows: list[int], pivots: list[int], p: int, lanes) -> int:
+    """The packed row x reduced against the RREF basis (rows, pivots): zero
+    exactly when x lies in their span.  A basis row is zero on every other
+    pivot column, so one pass in any order clears each pivot column of x."""
+    W, s, m, Q, lane = lanes
+    for c, b in zip(pivots, rows):
+        f = x >> c * W & lane
+        if f:
+            if p == 2:
+                x ^= b
+            else:
+                x += (p - f) * b
+                x -= (x * m >> s & Q) * p
+    return x
+
+
+def _insert(rows: list[int], pivots: list[int], new, p: int, lanes) -> None:
+    """The echelon kernel: put each packed row of new into the RREF basis
+    (rows, pivots ascending) in place.  A row with a non-zero residue is
+    scaled to 1 at its first non-zero column c, c is cleared out of the
+    other basis rows, and the row goes in at c's place in the order; the
+    result is the canonical RREF of the span of the basis and new."""
+    W, s, m, Q, lane = lanes
+    for x in new:
+        x = _residue(x, rows, pivots, p, lanes)
+        if not x:
+            continue
+        c = ((x & -x).bit_length() - 1) // W
+        f = x >> c * W & lane
+        if f != 1:
+            x *= pow(f, -1, p)
+            x -= (x * m >> s & Q) * p
+        for i, b in enumerate(rows):
+            f = b >> c * W & lane
+            if f:
+                if p == 2:
+                    rows[i] = b ^ x
+                else:
+                    b += (p - f) * x
+                    rows[i] = b - (b * m >> s & Q) * p
+        i = bisect.bisect(pivots, c)
+        rows.insert(i, x)
+        pivots.insert(i, c)
+
+
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p; returns (rref, pivot columns)."""
-    m = np.array(mat, dtype=np.int64) % p
-    rows, cols = m.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        piv = None
-        for rr in range(r, rows):
-            if m[rr, c] % p:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        m[r] = m[r] * pow(int(m[r, c]), -1, p) % p
-        for rr in range(rows):
-            if rr != r and m[rr, c]:
-                m[rr] = (m[rr] - m[rr, c] * m[r]) % p
-        pivots.append(c)
-        r += 1
-    return m[: len(pivots)], pivots
+    S = Subspace(mat, np.shape(mat)[1], p)
+    return _unpack(S.rows, S.ambient_dim, p), S.pivots
 
 
 def rank(mat: np.ndarray, p: int) -> int:
     if mat.size == 0:
         return 0
-    return len(rref(mat, p)[1])
+    return Subspace(mat, mat.shape[1], p).dim
 
 
 def nonsingular(stack: np.ndarray, p: int) -> np.ndarray:
@@ -59,41 +158,65 @@ def nonsingular(stack: np.ndarray, p: int) -> np.ndarray:
 
 
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """Basis (rows) of the right nullspace of mat over F_p."""
-    mat = np.atleast_2d(np.array(mat, dtype=np.int64)) % p
+    """Basis (rows) of the right nullspace of mat over F_p: for each free
+    column f of the RREF, e_f minus the RREF's column f placed at the pivot
+    columns."""
+    mat = np.atleast_2d(mat)
     cols = mat.shape[1]
-    r, pivots = rref(mat, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = -r[:, free].T % p
-    return basis
+    S = Subspace(mat, cols, p)
+    W, *_, lane = _lanes(p, cols)
+    pivots, basis = set(S.pivots), []
+    for f in range(cols):
+        if f not in pivots:
+            x = 1 << f * W
+            for c, b in zip(S.pivots, S.rows):
+                x |= (-(b >> f * W & lane) % p) << c * W
+            basis.append(x)
+    return _unpack(basis, cols, p)
 
 
 class Subspace:
-    """A subspace of F_p^dim in canonical reduced row echelon form."""
+    """A subspace of F_p^dim in canonical reduced row echelon form, kept as
+    packed rows with their pivot columns; ``basis`` is the same rows as a
+    read-only array, built on first use."""
 
     def __init__(self, vectors, ambient_dim: int, p: int):
         self.p = p
         self.ambient_dim = ambient_dim
-        arr = np.atleast_2d(np.array(list(vectors), dtype=np.int64)) if len(vectors) else np.zeros((0, ambient_dim), dtype=np.int64)
-        self.basis, self.pivots = rref(arr, p)
+        self.rows: list[int] = []
+        self.pivots: list[int] = []
+        self._basis = None
+        if len(vectors):
+            _insert(self.rows, self.pivots, self._pack(vectors), p, _lanes(p, ambient_dim))
+
+    def _pack(self, vectors) -> list[int]:
+        return _pack(np.atleast_2d(np.asarray(vectors, dtype=np.int64)) % self.p, self.p)
+
+    @property
+    def basis(self) -> np.ndarray:
+        if self._basis is None:
+            self._basis = _unpack(self.rows, self.ambient_dim, self.p)
+            self._basis.flags.writeable = False
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return len(self.rows)
 
-    def _residues(self, rows: np.ndarray) -> np.ndarray:
-        """Rows reduced against the basis: zero exactly for rows in the span
-        (the basis is RREF, so rows[:, pivots] are the coordinates)."""
-        rows = np.atleast_2d(np.array(rows, dtype=np.int64)) % self.p
-        return (rows - rows[:, self.pivots] @ self.basis) % self.p
+    def _reduced(self, packed):
+        """The residues of packed rows against the basis, lazily."""
+        lanes = _lanes(self.p, self.ambient_dim)
+        return (_residue(x, self.rows, self.pivots, self.p, lanes) for x in packed)
+
+    def _residues(self, rows) -> np.ndarray:
+        """Rows reduced against the basis: zero exactly for rows in the span."""
+        return _unpack(list(self._reduced(self._pack(rows))), self.ambient_dim, self.p)
 
     def contains(self, v) -> bool:
-        return not np.any(self._residues(v))
+        return not any(self._reduced(self._pack(v)))
 
     def contains_space(self, other: "Subspace") -> bool:
-        return not np.any(self._residues(other.basis))
+        return not any(self._reduced(other.rows))
 
     def closure(self, ops) -> "Subspace":
         """The smallest subspace containing this one and stable under each
@@ -107,40 +230,35 @@ class Subspace:
         ops = np.asarray(ops, dtype=np.int64)
         return self.extend((ops @ self.basis.T).transpose(0, 2, 1).reshape(-1, self.ambient_dim))
 
+    def _extended(self, packed) -> "Subspace":
+        out = Subspace([], self.ambient_dim, self.p)
+        out.rows, out.pivots = list(self.rows), list(self.pivots)
+        _insert(out.rows, out.pivots, packed, self.p, _lanes(self.p, self.ambient_dim))
+        return self if out.dim == self.dim else out
+
     def extend(self, rows) -> "Subspace":
         """The span of the basis and rows, in canonical RREF (the basis and
-        pivots of Subspace(np.vstack([basis, rows]))).  Only the residues of
-        rows go through rref; they vanish on the old pivot columns, so
-        clearing the new pivot columns out of the old basis and merging the
-        rows by pivot gives the echelon form of the whole."""
-        new = self._residues(rows)
-        new = new[np.any(new, axis=1)]
-        if not new.size:
-            return self
-        E, piv = rref(new, self.p)
-        B = (self.basis - self.basis[:, piv] @ E) % self.p
-        pivots = self.pivots + piv
-        order = np.argsort(pivots)
-        out = Subspace([], self.ambient_dim, self.p)
-        out.basis, out.pivots = np.vstack([B, E])[order], [pivots[i] for i in order]
-        return out
+        pivots of Subspace(np.vstack([basis, rows]))): the rows go through
+        the echelon kernel against a copy of the basis.  Returns self when
+        the span does not grow."""
+        return self._extended(self._pack(rows))
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.p == other.p
             and self.ambient_dim == other.ambient_dim
-            and np.array_equal(self.basis, other.basis)
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.p, self.ambient_dim, self.basis.tobytes()))
+        return hash((self.p, self.ambient_dim, *self.rows))
 
     def key(self):
-        return self.basis.tobytes()
+        return tuple(self.rows)
 
     def add(self, other: "Subspace") -> "Subspace":
-        return self.extend(other.basis)
+        return self._extended(other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         # c in the nullspace of [B1; B2]^T gives c[:r1] @ B1 = -c[r1:] @ B2,

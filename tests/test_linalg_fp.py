@@ -1,6 +1,11 @@
 """The F_p echelon-and-closure kernel: Subspace.contains, Subspace.closure,
 and the restricted action built on them.
 
+The packed echelon kernel behind rref, rank, nullspace and Subspace is
+checked against row_loop_rref, a Gaussian elimination on numpy rows that
+shares no code with it, at primes whose lanes span every width the kernel
+uses (8 to 128 bits); the lane reduction itself is checked value by value.
+
 closure takes one pass (the images of the basis under the stack, then one
 rref), which is the whole closure when the stack is the basis action of a
 unital algebra.  Its oracle is the fixed-point loop naive_closure, run on
@@ -25,7 +30,7 @@ from weylkit.homology import (
     ext_groups,
     minimal_projective_resolution,
 )
-from weylkit.linalg_fp import Subspace, nonsingular, nullspace, rank, rref
+from weylkit.linalg_fp import Subspace, _lanes, _unpack, nonsingular, nullspace, rank, rref
 
 PRESETS = ["T2", "T3", "M2", "poly:4", "cyclic:6"]
 
@@ -242,3 +247,168 @@ def test_restricted_action_rejects_unstable_span():
         _restricted_action(M.action, e22, 2)
     e11 = np.array([[1, 0, 0]], dtype=np.int64)  # A e11 = F e11
     assert _restricted_action(M.action, e11, 2).shape == (A.dim, 1, 1)
+
+
+# -- the packed echelon kernel against a numpy row loop -----------------------
+
+# every lane width: 8 bits (2, 3), 16 (5..13), 64 (257, 65521), 128 (2^31 - 1)
+PRIMES = [2, 3, 5, 7, 11, 13, 257, 65521, 2**31 - 1]
+
+
+def row_loop_rref(mat, p):
+    """Oracle: reduced row echelon form mod p by a row loop on numpy arrays;
+    returns (rref, pivot columns).  Entries stay below p < 2^31, so every
+    product fits in int64."""
+    m = np.array(mat, dtype=np.int64) % p
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        piv = next((rr for rr in range(r, rows) if m[rr, c]), None)
+        if piv is None:
+            continue
+        m[[r, piv]] = m[[piv, r]]
+        m[r] = m[r] * pow(int(m[r, c]), -1, p) % p
+        for rr in range(rows):
+            if rr != r and m[rr, c]:
+                m[rr] = (m[rr] - m[rr, c] * m[r]) % p
+        pivots.append(c)
+        r += 1
+    return m[: len(pivots)], pivots
+
+
+def row_loop_nullspace(mat, p):
+    """Oracle: the nullspace basis with one row per free column f of the
+    RREF, 1 at f and minus the RREF's column f at the pivot columns."""
+    r, pivots = row_loop_rref(mat, p)
+    cols = np.shape(mat)[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -r[:, free].T % p
+    return basis
+
+
+@st.composite
+def matrices(draw, p=None, cols=None):
+    """A k x cols matrix over F_p with entries outside [0, p) too, possibly
+    with no rows, zero rows and rows that combine earlier ones."""
+    p = draw(st.sampled_from(PRIMES)) if p is None else p
+    cols = draw(st.integers(1, 8)) if cols is None else cols
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["random", "random", "zero", "combination"]), max_size=7)):
+        if kind == "random" or not rows:
+            rows.append(draw(st.lists(st.integers(-p, 2 * p), min_size=cols, max_size=cols)))
+        elif kind == "zero":
+            rows.append([0] * cols)
+        else:
+            coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) % p for j in range(cols)])
+    return p, np.array(rows, dtype=np.int64).reshape(len(rows), cols)
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrices())
+@example((3, np.zeros((0, 4), dtype=np.int64)))  # 0 x k
+@example((65521, np.array([[0], [65521], [-2], [5]])))  # k x 1
+@example((2**31 - 1, np.array([[2**31 - 2, 1, 0], [-1, 2**32, 7]])))
+def test_rref_rank_nullspace_match_the_row_loop(case):
+    p, mat = case
+    expected, pivots = row_loop_rref(mat, p)
+    echelon, got = rref(mat, p)
+    assert got == pivots and echelon.shape == expected.shape and np.array_equal(echelon, expected)
+    assert rank(mat, p) == len(pivots)
+    if len(mat):
+        assert np.array_equal(nullspace(mat, p), row_loop_nullspace(mat, p))
+
+
+@st.composite
+def subspace_pairs(draw):
+    """Two spans in one F_p^dim: unrelated, equal in another basis, or the
+    second inside the first."""
+    p, A = draw(matrices())
+    dim = A.shape[1]
+    kind = draw(st.sampled_from(["other", "same", "inside"]))
+    if kind == "other":
+        B = draw(matrices(p, dim))[1]
+    else:
+        coeffs = np.array(draw(st.lists(st.integers(0, p - 1), min_size=len(A) * len(A), max_size=len(A) * len(A))))
+        B = (coeffs.reshape(len(A), len(A)).astype(object) @ A.astype(object)) % p  # no int64 overflow at 2^31 - 1
+        B = np.vstack([B.astype(np.int64), A]) if kind == "same" else B.astype(np.int64).reshape(-1, dim)
+    return p, dim, A, B
+
+
+@settings(max_examples=400, deadline=None)
+@given(subspace_pairs())
+@example((2, 3, np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3), dtype=np.int64)))
+@example((7, 1, np.array([[3]]), np.array([[0], [6]])))
+def test_subspace_matches_the_row_loop(case):
+    p, dim, A, B = case
+    S, T = Subspace(A, dim, p), Subspace(B, dim, p)
+    (EA, PA), (EB, PB) = row_loop_rref(A, p), row_loop_rref(B, p)
+    assert np.array_equal(S.basis, EA) and S.pivots == PA and S.dim == len(PA)
+    same = PA == PB and np.array_equal(EA, EB)
+    assert (S == T) == same and (S.key() == T.key()) == same
+    if same:
+        assert hash(S) == hash(T)
+    both, pivots = row_loop_rref(np.vstack([A, B]), p)
+    extended = S.extend(B)
+    assert np.array_equal(extended.basis, both) and extended.pivots == pivots
+    assert (extended is S) == (len(pivots) == S.dim)
+    assert S.add(T) == extended
+    assert S.contains_space(T) == (len(pivots) == S.dim)
+    assert all(S.contains(v) == (len(row_loop_rref(np.vstack([A, v]), p)[1]) == S.dim) for v in B)
+
+
+def low_rank(rng, p, size, r):
+    """A seeded size x size matrix of rank at most r."""
+    return rng.integers(0, p, size=(size, r)) @ rng.integers(0, p, size=(r, size)) % p
+
+
+@pytest.mark.parametrize("p,size,r", [(2, 100, 70), (3, 81, 60), (5, 64, 64), (7, 49, 30), (7, 100, 90)])
+def test_large_matrices_match_the_row_loop(p, size, r):
+    rng = np.random.default_rng(p * size)
+    mat = low_rank(rng, p, size, r)
+    expected, pivots = row_loop_rref(mat, p)
+    echelon, got = rref(mat, p)
+    assert got == pivots and np.array_equal(echelon, expected)
+    assert np.array_equal(nullspace(mat, p), row_loop_nullspace(mat, p))
+    half = Subspace(mat[: size // 2], size, p)
+    whole = half.extend(mat[size // 2 :])
+    assert np.array_equal(whole.basis, expected) and whole == Subspace(mat, size, p)
+    assert whole.contains_space(half) and half.contains_space(whole) == (half.dim == whole.dim)
+
+
+@pytest.mark.parametrize("p", [q for q in PRIMES if q > 2])
+def test_lane_reduction_is_exact(p):
+    """Every lane value the kernel forms reduces to x mod p, and x*m fits in
+    its lane.  A row update x + (p - f)*b leaves lanes <= (p - 1) + (p - 1)^2
+    = p^2 - p, and a scaling <= (p - 1)^2, so X = p^2 - p is the largest.
+
+    With m*p = 2^s + e, floor(x*m / 2^s) = floor(x / p) exactly when
+    x mod p + x*e / 2^s < p; for one residue this grows with x, so the
+    largest x of each residue is the hardest case, and X*e < 2^s settles
+    every x <= X at once.  The values are put through the kernel's own
+    reduction, n to a packed row: every x <= X for p <= 257, and the
+    largest x of each residue at p = 65521 (65,521 values); at 2^31 - 1,
+    where that is 2^31 values, the 4,096 largest and smallest."""
+    n = 64
+    W, s, m, Q, lane = _lanes(p, n)
+    X = p * p - p
+    e = m * p - (1 << s)
+    assert p**3 <= 1 << s and 0 <= e < p and X * e < 1 << s and X * m < 1 << W
+    if p <= 257:
+        xs = list(range(X + 1))
+    elif p == 65521:
+        xs = list(range(X - p + 1, X + 1))
+    else:
+        xs = list(range(4096)) + list(range(X - 4095, X + 1))
+    xs += [0] * (-len(xs) % n)
+    for i in range(0, len(xs), n):
+        chunk = xs[i : i + n]
+        x = sum(v << j * W for j, v in enumerate(chunk))
+        assert x * m < 1 << n * W
+        reduced = x - (x * m >> s & Q) * p
+        assert _unpack([reduced], n, p)[0].tolist() == [v % p for v in chunk]

@@ -388,6 +388,39 @@ def test_bareiss_matches_cofactor_random():
     assert seen["swap"] > 20 and seen["singular"] > 20
 
 
+@pytest.mark.parametrize("a", [1, 2, 4, 5, 8])
+def test_det_poly_numerators_pass_the_guard_bit_of_the_bound(a, monkeypatch):
+    """Bareiss numerators reach twice the degree bound.  Here the entries
+    are C[i][j] x^a + N[i][j] with C a Cauchy matrix mod 7, whose minors are
+    all non-zero, so at step 2 of the 3 x 3 elimination a*b - c*d has degree
+    4a against a bound of 3a; for these a, 4a passes the guard bit of
+    Packing(1, 3a).  The determinant is exact with the packing sized for the
+    bound as well as for twice it (det_matrix and the split norm use
+    twice): a numerator's field stays below 2^width > 2 * bound, so packed
+    products carry nothing from one field into the next, and only quotient
+    terms, terms of minors of degree <= bound, meet the guard test of
+    Packing.divide."""
+    p = 7
+    C = [[pow(i + j + 1, -1, p) for j in range(3)] for i in range(3)]  # 1 / (x_i + y_j)
+    rng = random.Random(a)
+    M = [[CommPoly({(a,): C[i][j], (0,): rng.randrange(1, p)}, p, 1) for j in range(3)] for i in range(3)]
+    mul_sub = weylkit.norm.mul_sub
+    degrees = []
+
+    def spy(*args):
+        out = mul_sub(*args)
+        degrees.extend(m >> pk.width for m in out)  # the top field: the degree
+        return out
+
+    monkeypatch.setattr(weylkit.norm, "mul_sub", spy)
+    for bound in (3 * a, 6 * a):
+        pk = Packing(1, bound)
+        rows = [{j: pk.pack(e) for j, e in enumerate(row)} for row in M]
+        assert pk.unpack(det_poly(rows, pk, p), p, "x") == _det_cofactor(M)
+        if bound == 3 * a:
+            assert max(degrees) == 4 * a >= 1 << pk.width - 1
+
+
 @pytest.mark.parametrize("p,n,count", [(2, 1, 12), (3, 1, 12), (5, 1, 6), (7, 1, 3), (2, 2, 6)])
 @pytest.mark.parametrize("h", ["standard", "random"])
 def test_det_poly_matches_tuple_bareiss(p, n, count, h):
