@@ -77,9 +77,14 @@ class FinDimAlgebra:
             yield np.array(coeffs, dtype=np.int64)
 
     def subspace_product(self, U: Subspace, V: Subspace) -> Subspace:
-        """U*V, the span of the products u v of the basis vectors."""
-        prods = np.einsum("ui,vj,ijk->uvk", U.basis, V.basis, self.table) % self.p
-        return Subspace(prods.reshape(-1, self.dim), self.dim, self.p)
+        """U*V, the span of the products u v of the basis vectors, as two
+        exact int64 products: row (u, j) of the first is u e_j, and the
+        second combines those rows by the v.  Entries are in [0, p) before
+        each, so every partial sum is below d p^2."""
+        d, p = self.dim, self.p
+        ue = U.basis @ self.table.reshape(d, -1) % p  # row u: u e_j for each j
+        prods = V.basis @ ue.reshape(-1, d, d) % p  # block u, row v: u v
+        return Subspace(prods.reshape(-1, d), d, p)
 
     def powers(self, I: Subspace):
         """Yield I, I^2, ..., stopping after the first power P with P*I = P

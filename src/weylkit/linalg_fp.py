@@ -6,9 +6,13 @@ operation is one big-int multiply-add and one lane-wise reduction, a few
 big-int operations where a numpy row costs a call per row and per entry
 read.  ``rref``, ``rank``, ``nullspace`` and ``Subspace`` share one echelon
 kernel, ``_insert``, and numpy sees a row only when it is packed or
-unpacked.  ``nonsingular`` eliminates a whole stack of small matrices at
-once and stays on numpy arrays, where one array operation serves every
-matrix of the stack.
+unpacked.
+
+``nonsingular`` eliminates a whole stack of small matrices at once, on the
+same lanes held in uint64 words (``_stack``): a lane never crosses a word,
+and one array operation per column serves every matrix of the stack.
+``nonsingular_span`` builds its stack, every F_p-combination of a few
+matrices, by linearity on those words.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import bisect
 import functools
 
 import numpy as np
+
+from .errors import UnsupportedError
 
 
 @functools.lru_cache
@@ -137,24 +143,101 @@ def rank(mat: np.ndarray, p: int) -> int:
     return Subspace(mat, mat.shape[1], p).dim
 
 
-def nonsingular(stack: np.ndarray, p: int) -> np.ndarray:
-    """Whether each square matrix of the stack is invertible over F_p, by one
-    Gaussian elimination run on the whole stack: column c of every matrix
-    takes its first non-zero entry at or below row c as pivot, swapped up to
-    row c, and a matrix with no such entry is singular."""
-    m = np.array(stack, dtype=np.int64) % p
-    n, d = m.shape[:2]
-    inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)])
+def _word_lanes(p: int) -> tuple[int, int, int, int, int]:
+    """``_lanes`` for one uint64 word of a stack: its 64 / W lanes."""
+    W = _lanes(p, 0)[0]
+    if W > 64:
+        raise UnsupportedError(f"a stacked lane must fit one 64-bit word, so p < 65536; p = {p} needs {W} bits")
+    return _lanes(p, 64 // W)
+
+
+def _stack(mats: np.ndarray, p: int) -> np.ndarray:
+    """A stack of matrices with entries in [0, p) as uint64 words, shape
+    (..., rows, words): lane j of a row is bits [j*W, (j+1)*W) of its words
+    read as one little-endian int, which is ``_pack``'s row."""
+    W = _word_lanes(p)[0]
+    *lead, n = np.shape(mats)
+    per = 64 // W
+    lanes = np.zeros((*lead, -(-n // per) * per), dtype=f"<u{W // 8}")
+    lanes[..., :n] = mats
+    return lanes.view("<u8")
+
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """Every lane of the words x, each below p^2, reduced mod p in place by
+    ``_lanes``' Barrett step: no lane's product carries into the next, and
+    a word's top lane keeps its product below 2^64."""
+    W, s, m, Q, lane = _word_lanes(p)
+    x -= (x * m >> s & Q) * p
+    return x
+
+
+@functools.lru_cache
+def _inverses(p: int) -> np.ndarray:
+    """v^-1 mod p at index v, and 0 at index 0, as uint64."""
+    return np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.uint64)
+
+
+def _span_stack(mats: np.ndarray, p: int) -> np.ndarray:
+    """The stacked words of every combination sum_i c_i mats[i] of k
+    matrices, c in F_p^k, at index sum_i c_i p^i (the base-p code of c).
+
+    By linearity, one digit at a time: T <- [T + t mats[i] for t < p],
+    each lane below (p - 1) + (p - 1)^2 < p^2 before one reduction (XOR at
+    p = 2)."""
+    P = _stack(np.asarray(mats, dtype=np.int64) % p, p)
+    T = np.zeros((1, *P.shape[1:]), dtype=np.uint64)
+    t = np.arange(p, dtype=np.uint64).reshape(-1, 1, 1, 1)
+    for g in P:
+        T = np.concatenate([T, T ^ g]) if p == 2 else _reduce((T + t * g).reshape(-1, *P.shape[1:]), p)
+    return T
+
+
+def _eliminate(words: np.ndarray, p: int) -> np.ndarray:
+    """Whether each square matrix of the stacked words (see ``_stack``) is
+    invertible over F_p, by one Gaussian elimination run on the whole stack.
+    Column c of every matrix takes its first non-zero entry at or below row
+    c as pivot, swapped up to row c, and a matrix with no such entry is
+    singular.  The pivot row is scaled to 1 and each row x below becomes
+    x + (p - f) * pivot, f its lane c: every lane stays below p^2 for one
+    reduction.  Rows at or below c are zero left of column c, so the words
+    before lane c's are left alone.  The stack is held as (row, word,
+    matrix), so that every array operation runs along the matrices."""
+    n, d = words.shape[:2]
+    W, *_, lane = _word_lanes(p)
+    m = np.ascontiguousarray(words.transpose(1, 2, 0))
     every, ok = np.arange(n), np.ones(n, dtype=bool)
-    for c in range(d):  # only the block right of and below (c, c) is read later
-        nonzero = m[:, c:, c] != 0
-        ok &= nonzero.any(axis=1)
-        piv = c + nonzero.argmax(axis=1)
-        row = m[every, piv, c:]
-        m[every, piv, c:] = m[:, c, c:].copy()
-        row = row[:, 1:] * inverse[row[:, 0]][:, None] % p  # zero where no pivot
-        m[:, c + 1 :, c + 1 :] = (m[:, c + 1 :, c + 1 :] - m[:, c + 1 :, c, None] * row[:, None]) % p
+    for c in range(d):
+        k, shift = divmod(c, 64 // W)
+        shift *= W
+        rest = m[c:, k:]
+        nonzero = rest[:, 0] >> shift & lane != 0
+        ok &= nonzero.any(axis=0)
+        piv = nonzero.argmax(axis=0)
+        row = rest[piv, :, every].T
+        rest[piv, :, every] = rest[0].T
+        below = rest[1:]
+        f = below[:, 0] >> shift & lane
+        if p == 2:
+            below ^= f[:, None] * row
+        else:  # no pivot: the row scales to zero, and f is zero anyway
+            row = _reduce(row * _inverses(p)[row[0] >> shift & lane], p)
+            below += (p - f)[:, None] * row
+            _reduce(below, p)
     return ok
+
+
+def nonsingular(stack: np.ndarray, p: int) -> np.ndarray:
+    """Whether each square matrix of the stack is invertible over F_p (see
+    ``_eliminate``); p < 65536, so that a lane fits one word."""
+    return _eliminate(_stack(np.asarray(stack, dtype=np.int64) % p, p), p)
+
+
+def nonsingular_span(mats: np.ndarray, p: int) -> np.ndarray:
+    """Whether each combination sum_i c_i mats[i] of k square matrices is
+    invertible over F_p, for all p^k vectors c in the order of their base-p
+    codes sum_i c_i p^i."""
+    return _eliminate(_span_stack(mats, p), p)
 
 
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:

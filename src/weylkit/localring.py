@@ -14,11 +14,10 @@ import numpy as np
 from .errors import TooLargeError, InternalInconsistencyError
 from . import findim
 from .findim import FinDimAlgebra
-from .linalg_fp import Subspace, nonsingular, nullspace
+from .linalg_fp import Subspace, nonsingular_span, nullspace
 
 
 CROSS_CHECK_BUDGET = 1 << 10  # p^d ceiling of the unit table of radical_cross_check
-UNIT_BLOCK = 128  # left-regular matrices per batched elimination of the unit table
 WITNESS_BLOCK = 1 << 13  # entries of the products a x held at once by the witness search
 FIBER_K_MAX = 6  # powers of the ideal intersection probed by fiber_decomposability
 
@@ -105,8 +104,10 @@ def radical_cross_check(A: FinDimAlgebra, rad: Subspace | None = None) -> bool:
        u = 1 - c x a unit, so would be 1 - a x = u (1 - u^-1 r x).
     So the answer is True exactly when rad = J.  Units (non-singular
     left-regular matrices) come from a table of all p^d elements by base-p
-    code, UNIT_BLOCK matrices per elimination; the a are tried WITNESS_BLOCK
-    product entries (or one a) at a time, and x leaves at its witness.
+    code, built by linearity from the left-regular matrices of the basis and
+    eliminated in one stacked pass (``nonsingular_span``); the a are tried
+    WITNESS_BLOCK product entries (or one a) at a time, and x leaves at its
+    witness.
     """
     p, d = A.p, A.dim
     if p**d > CROSS_CHECK_BUDGET:
@@ -117,8 +118,7 @@ def radical_cross_check(A: FinDimAlgebra, rad: Subspace | None = None) -> bool:
     def left(a):  # row [k, j]: a_k e_j, the transposed left-regular matrix of a_k
         return (a @ A.table.reshape(d, -1)).reshape(-1, d, d) % p
 
-    blocks = (np.arange(s, min(s + UNIT_BLOCK, p**d)) for s in range(0, p**d, UNIT_BLOCK))
-    units = np.concatenate([nonsingular(left(_combinations(eye, p, b)), p) for b in blocks])
+    units = nonsingular_span(A.table, p)  # table[i] is left(e_i)
     ys = _combinations(rad.basis, p, np.arange(p**rad.dim))
     if not rad.contains_space(rad.closure(A.mult_ops("left"))) or not units[(A.unit - ys) % p @ place].all():
         return False

@@ -5,6 +5,8 @@ The packed echelon kernel behind rref, rank, nullspace and Subspace is
 checked against row_loop_rref, a Gaussian elimination on numpy rows that
 shares no code with it, at primes whose lanes span every width the kernel
 uses (8 to 128 bits); the lane reduction itself is checked value by value.
+The stacked elimination, on the same lanes in uint64 words, is checked
+against rank per matrix at every lane width up to 64 bits.
 
 closure takes one pass (the images of the basis under the stack, then one
 rref), which is the whole closure when the stack is the basis action of a
@@ -21,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylkit.cli import findim_preset, module_preset
-from weylkit.errors import InvalidFormError
+from weylkit.errors import InvalidFormError, UnsupportedError
 from weylkit.findim import upper_triangular_algebra
 from weylkit.homology import (
     FDModule,
@@ -30,7 +32,19 @@ from weylkit.homology import (
     ext_groups,
     minimal_projective_resolution,
 )
-from weylkit.linalg_fp import Subspace, _lanes, _unpack, nonsingular, nullspace, rank, rref
+from weylkit.linalg_fp import (
+    Subspace,
+    _lanes,
+    _pack,
+    _span_stack,
+    _stack,
+    _unpack,
+    nonsingular,
+    nonsingular_span,
+    nullspace,
+    rank,
+    rref,
+)
 
 PRESETS = ["T2", "T3", "M2", "poly:4", "cyclic:6"]
 
@@ -113,16 +127,21 @@ def test_extend_matches_echelon_of_the_stack(case):
         assert extended is S
 
 
+# primes whose stacked lanes span every width (8, 16, 32 and 64 bits)
+STACK_PRIMES = [2, 3, 5, 7, 13, 251, 65521]
+
+
 @st.composite
 def square_stacks(draw):
-    """A stack of d x d matrices over F_p: random ones, and zero, identity
-    and rank-deficient ones (the last row a combination of the others), with
-    entries outside [0, p) too."""
-    p = draw(st.sampled_from([2, 3, 5, 7]))
-    d = draw(st.integers(1, 6))
+    """A stack of d x d matrices over F_p, possibly empty: random ones, and
+    zero, identity and rank-deficient ones (the last row a combination of
+    the others), with entries outside [0, p) too.  d runs up to 12 at p = 2,
+    where rows of more than 8 lanes take two words."""
+    p = draw(st.sampled_from(STACK_PRIMES))
+    d = draw(st.integers(1, 12 if p == 2 else 6))
     entries = st.lists(st.integers(-p, 2 * p), min_size=d * d, max_size=d * d)
     stack = []
-    for kind in draw(st.lists(st.sampled_from(["random", "zero", "identity", "deficient"]), min_size=1, max_size=8)):
+    for kind in draw(st.lists(st.sampled_from(["random", "zero", "identity", "deficient"]), max_size=8)):
         m = np.array(draw(entries), dtype=np.int64).reshape(d, d)
         if kind == "zero":
             m[:] = 0
@@ -132,7 +151,7 @@ def square_stacks(draw):
             coeffs = draw(st.lists(st.integers(0, p - 1), min_size=d - 1, max_size=d - 1))
             m[-1] = np.array(coeffs, dtype=np.int64) @ m[:-1]
         stack.append(m)
-    return p, d, np.array(stack)
+    return p, d, np.array(stack, dtype=np.int64).reshape(-1, d, d)
 
 
 @settings(max_examples=300, deadline=None)
@@ -140,9 +159,59 @@ def square_stacks(draw):
 @example((2, 1, np.array([[[0]], [[1]], [[3]]])))  # d = 1
 @example((3, 2, np.array([[[1, 2], [2, 1]], [[1, 2], [2, 4]], [[0, 1], [1, 0]]])))  # singular, swap
 @example((7, 3, np.array([np.eye(3, dtype=np.int64), np.zeros((3, 3), dtype=np.int64)])))
+@example((2, 12, np.array([np.eye(12, dtype=np.int64)[::-1], np.eye(12, dtype=np.int64)[[0] * 12]])))  # two words
+@example((65521, 2, np.array([[[65520, 1], [1, 65520]], [[2, 3], [65519, 65518]]])))  # singular, then invertible
+@example((13, 3, np.zeros((0, 3, 3), dtype=np.int64)))  # no matrices
 def test_nonsingular_agrees_with_rank(case):
     p, d, stack = case
     assert list(nonsingular(stack, p)) == [rank(m, p) == d for m in stack]
+
+
+def unstack(words, n, p):
+    """A stack of rows of n entries from its uint64 words, each row read as
+    one little-endian int and unpacked as a packed row."""
+    rows = [int.from_bytes(row.tobytes(), "little") for row in words.reshape(-1, words.shape[-1])]
+    return _unpack(rows, n, p).reshape(*words.shape[:-1], n)
+
+
+@pytest.mark.parametrize("p", STACK_PRIMES)
+def test_stacked_rows_are_packed_rows(p):
+    rng = np.random.default_rng(p)
+    for n in (1, 4, 8, 9, 12):
+        mats = rng.integers(0, p, (3, 5, n))
+        words = _stack(mats, p)
+        for mat, rows in zip(mats, words):
+            assert [int.from_bytes(row.tobytes(), "little") for row in rows] == _pack(mat, p)
+        assert np.array_equal(unstack(words, n, p), mats)
+
+
+def test_stacked_lanes_fit_one_word():
+    # 65537 is the least prime whose lane (128 bits) is wider than a word
+    assert _lanes(65521, 0)[0] == 64
+    with pytest.raises(UnsupportedError, match="64-bit word"):
+        nonsingular(np.eye(2, dtype=np.int64)[None], 65537)
+
+
+@st.composite
+def matrix_spans(draw):
+    """k square matrices over F_p, with p^k <= 343 combinations."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.integers(0, {2: 8, 3: 5, 5: 3, 7: 3}[p]))
+    r = draw(st.integers(1, 10 if p == 2 else 5))
+    entries = st.lists(st.integers(-p, 2 * p), min_size=k * r * r, max_size=k * r * r)
+    return p, np.array(draw(entries), dtype=np.int64).reshape(k, r, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_spans())
+def test_span_stack_is_every_combination(case):
+    # entry c of the table is sum_i c_i mats[i] for the base-p digits c_i of c
+    p, mats = case
+    k, r = mats.shape[:2]
+    digits = np.arange(p**k)[:, None] // p ** np.arange(k) % p
+    combos = np.einsum("ci,irs->crs", digits, mats) % p
+    assert np.array_equal(unstack(_span_stack(mats, p), r, p), combos)
+    assert list(nonsingular_span(mats, p)) == [rank(m, p) == r for m in combos]
 
 
 def naive_closure(vectors, images, dim, p):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_linalg_fp import unstack
 
 from weylkit import findim
 from weylkit.cli import findim_preset
@@ -20,10 +21,11 @@ from weylkit.findim import (
     truncated_polynomial_algebra,
     upper_triangular_algebra,
 )
-from weylkit.linalg_fp import Subspace, nullspace, rref
+from weylkit.linalg_fp import Subspace, _span_stack, nonsingular_span, nullspace, rank, rref
 from weylkit.localring import (
     CROSS_CHECK_BUDGET,
     FIBER_K_MAX,
+    _combinations,
     _trace_functionals,
     adic_comparison,
     classify_local,
@@ -352,6 +354,22 @@ def test_radical_cross_check_rejects_other_subspaces(A):
     assert not radical_cross_check(A, Subspace(eye, A.dim, A.p))
 
 
+def int64_unit_table(A):
+    """Every element by base-p code, and its transposed left-regular matrix,
+    as the cross-check built them in int64 before the stacked lanes."""
+    p, d = A.p, A.dim
+    elements = _combinations(np.eye(d, dtype=np.int64), p, np.arange(p**d))
+    return elements, (elements @ A.table.reshape(d, -1) % p).reshape(-1, d, d)
+
+
+@pytest.mark.parametrize("A", _cross_check_cases())
+def test_unit_table_matches_the_int64_table(A):
+    elements, table = int64_unit_table(A)
+    assert np.array_equal(unstack(_span_stack(A.table, A.p), A.dim, A.p), table)
+    units = [rank(A.left_mult(a), A.p) == A.dim for a in elements]
+    assert list(nonsingular_span(A.table, A.p)) == units
+
+
 def test_radical_cross_check_budget():
     with pytest.raises(TooLargeError, match="unit-table budget"):
         radical_cross_check(findim_preset("T3", 5))  # 5^6 > CROSS_CHECK_BUDGET
@@ -359,7 +377,8 @@ def test_radical_cross_check_budget():
 
 @pytest.mark.parametrize("name,p", [("cyclic:10", 2), ("M2", 5)])
 def test_radical_cross_check_memory(name, p):
-    # the unit table and the witness products are built in bounded blocks
+    # the unit table is one packed stack of p^d <= CROSS_CHECK_BUDGET
+    # matrices, and the witness products are built in bounded blocks
     A = findim_preset(name, p)
     jacobson_radical(A)
     tracemalloc.start()
@@ -600,12 +619,19 @@ def test_fiber_quasi_local_indecomposable():
 
 # -- one power chain and one subspace product ---------------------------------
 # The per-pair product and the loops below are the ideal arithmetic as it was
-# written before FinDimAlgebra.subspace_product became one einsum and every
-# chain of powers went through FinDimAlgebra.powers; they are the oracles.
+# written before FinDimAlgebra.subspace_product became one product and every
+# chain of powers went through FinDimAlgebra.powers; they are the oracles,
+# with the four-index einsum that subspace_product was before its two int64
+# products.
 
 
 def product_by_pairs(A, U, V):
     return Subspace([A.mul(u, v) for u in U.basis for v in V.basis], A.dim, A.p)
+
+
+def product_by_einsum(A, U, V):
+    prods = np.einsum("ui,vj,ijk->uvk", U.basis, V.basis, A.table) % A.p
+    return Subspace(prods.reshape(-1, A.dim), A.dim, A.p)
 
 
 def is_nilpotent_by_loop(A, I):
@@ -698,13 +724,24 @@ def test_ideal_arithmetic_matches_the_pairwise_loops(name, p):
     assert len(others) == (0 if A.dim == 1 else 6)
     spaces = [zero, Subspace(np.eye(A.dim, dtype=np.int64), A.dim, p), rad, *maxima, *others]
     for U, V in itertools.product(spaces, repeat=2):
-        assert A.subspace_product(U, V) == product_by_pairs(A, U, V)
+        assert A.subspace_product(U, V) == product_by_pairs(A, U, V) == product_by_einsum(A, U, V)
     for S in spaces:
         assert A.is_nilpotent_subspace(S) == is_nilpotent_by_loop(A, S)
         assert idempotent_ideal_check(S, A) == (product_by_pairs(A, S, S) == S)
         for mR in spaces:
             assert adic_comparison(A, S, mR) == adic_comparison_by_loop(A, S, mR)
     assert fiber_decomposability(A, [A.unit], zero) == fiber_decomposability_by_loops(A, [A.unit], zero)
+
+
+@pytest.mark.parametrize("name", ["T3", "M2", "cyclic:6", "poly:8"])
+def test_subspace_product_at_a_large_prime(name):
+    # random subspaces at p = 65521, where products of entries pass 2^31
+    p = 65521
+    A = findim_preset(name, p)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    for _ in range(5):
+        U, V = (Subspace(rng.integers(0, p, (rng.integers(1, A.dim + 1), A.dim)), A.dim, p) for _ in "UV")
+        assert A.subspace_product(U, V) == product_by_einsum(A, U, V)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
