@@ -14,11 +14,17 @@ over Z splits it: A is a free left C-module on e_b = gamma_2^b1 gamma_4^b2 ..
 one p^n x p^n determinant.  Any other h goes to the standard one through a
 Darboux change of generators.
 
-The matrix of R_s is written term by term straight into the sparse rows of
-``det_poly``, each entry a packed polynomial (``commpoly.Packing``) in
-(gamma_1, x_2, gamma_3, x_4, ..); the packing is sized by the degree bound
-that Bareiss elimination needs, found in the same pass, and the determinant
-is unpacked once, into the x-coordinates.
+The matrix of R_s is read off Wick's one-pair rows, with no PBW product
+formed (``_split_cells``).  The pairs (gamma_1, gamma_2), (gamma_3,
+gamma_4), .. commute, so for a term gamma^m of s, e_b gamma^m is a product
+over the pairs of one factor (gamma_2^b gamma_1^x) gamma_2^y each (written
+for the first pair), and
+gamma_2^b gamma_1^x = sum_k C(b, k) (x)_k (-1)^k gamma_1^(x-k) gamma_2^(b-k)
+is a row of the PBW engine's contraction table.  The entries go once into
+the sparse rows of ``det_poly``, each a packed polynomial
+(``commpoly.Packing``) in (gamma_1, x_2, gamma_3, x_4, ..); the packing is
+sized by the degree bound that Bareiss elimination needs, found in the same
+pass, and the determinant is unpacked once, into the x-coordinates.
 
 ord_{H^dagger} is the divisorial valuation at the hyperplane at infinity of
 the inverse Frobenius pullback; on central polynomials it equals -p times
@@ -27,13 +33,12 @@ the total x-degree (u^p cuts out H and x_1 = u^{-p} on the boundary chart).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 from .commpoly import CommPoly, Packing, mul_sub
 from .errors import IncompleteSearchError, InternalInconsistencyError, TooLargeError
-from .presentations import NCPoly
+from .presentations import NCPoly, Steps, _contraction_table
 from .weylalg import (
     WeylAlgebra,
     center_coordinates,
@@ -175,12 +180,18 @@ def reduced_norm(s: NCPoly, A: WeylAlgebra) -> CommPoly:
     the standard algebra by g_i -> sum_j (B^-1)_ij gamma_j, and the norm there,
     in x'_j = gamma_j^p, comes back through x'_j = (sum_i B_ji g_i)^p, a
     central element of A (with a constant at p = 2).
+
+    s must be over A's F_p with PBW monomials of A; any other s raises
+    ``MalformedPresentationError``, with the message a product e_b s would
+    give, before any term is read.
     """
+    P = A.presentation
+    P.check_operands(P.one(), s)
     if A.h == standard_h(A.p, A.n):
         return _split_norm(s, A)
     std, images, coords = _darboux_change(A)
-    P = std.presentation
-    t = NCPoly(_evaluate(s, images, P.one(), P.multiply), A.p)
+    Q = std.presentation
+    t = NCPoly(_evaluate(s, images, Q.one(), Q.multiply), A.p)
     norm = _split_norm(t, std)
     one = CommPoly.const(1, A.p, A.ngens)
     return CommPoly(_evaluate(norm, coords, one, CommPoly.__mul__), A.p, A.ngens)
@@ -230,31 +241,74 @@ def _darboux_change(A: WeylAlgebra):
     return std, images, coords
 
 
-def _split_norm(s: NCPoly, A: WeylAlgebra) -> CommPoly:
-    """det_C(R_s) for the standard h.  Column b is e_b s: its term g^m is
-    g1^m1 x2^(m2 // p) g3^m3 x4^(m4 // p) .. e_(m2 % p, m4 % p, ..), since
-    (g1, g2) commutes with (g3, g4).  Each term goes once into det_poly's
-    packed rows, under the key (m1, m2 // p, m3, m4 // p, ..) in row
-    (m2 % p, m4 % p, ..); distinct terms give distinct (cell, key) pairs, so
-    no coefficients add up.  The same pass finds det_poly's degree bound.
-    The determinant lies in Z, so every g1, g3 exponent is a multiple of p
-    and divides into an x1, x3 exponent."""
-    p, nv = A.p, A.ngens
-    P = A.presentation
-    size = p**A.n
-    cells = []  # (row, column, degree, key) and the coefficient of each term
-    top = [0] * size  # the largest term degree in each row
-    for col, b in enumerate(itertools.product(range(p), repeat=A.n)):
-        e_b = NCPoly({tuple(e for bi in b for e in (0, bi)): 1}, p)
-        for m, c in P.multiply(e_b, s).terms.items():
-            row = 0
-            for e in m[1::2]:
-                row = row * p + e % p
-            key = tuple(e if i % 2 == 0 else e // p for i, e in enumerate(m))
+def _split_cells(s: NCPoly, A: WeylAlgebra):
+    """The non-zero entries of R_s for the standard h, term by term, as a
+    list of (row, column, degree, key, coefficient mod p), and the largest
+    degree in each row.
+
+    Column b is e_b s, e_b = g2^b1 g4^b2 ..  Its term g^m is
+    g1^m1 x2^(m2 // p) g3^m3 x4^(m4 // p) .. e_(m2 % p, m4 % p, ..), so it
+    lies in row (m2 % p, m4 % p, ..) under the key (m1, m2 // p, m3,
+    m4 // p, ..), of degree the key's sum; rows and columns are numbered in
+    base p, the first pair's digit the most significant.
+
+    No PBW product is formed.  The pairs commute and [g2, g1] = -1, so for a
+    term c g^m of s, with (x_t, y_t) the exponents of pair t,
+    e_b g^m = prod_t (g2^b_t g1^x_t) g2^y_t, and
+    g2^b g1^x = sum_k C(b, k) (x)_k (-1)^k g1^(x-k) g2^(b-k), whose
+    (k, weight) pairs are the Wick row ``_contraction_table(p, p - 1)[b][x % p]``
+    (the weight is zero past k = x % p, so x - k >= 0).  Pair t thus puts
+    the digit b_t into the column, (y_t + b_t - k_t) % p into the row and
+    (x_t - k_t, (y_t + b_t - k_t) // p) into the key.
+
+    Distinct k give one term of s distinct keys, but two terms of s can land
+    in one cell (g1 and g1^2 g2 meet in column 1, row 1), so the weights are
+    summed over all of s before the reduction mod p, and a cell that sums to
+    zero is dropped: no coefficient is lost where terms meet.  Each formed
+    term costs one step of one ``Steps`` budget.
+    """
+    p, n = A.p, A.n
+    table = _contraction_table(p, p - 1)
+    steps = Steps("reduced norm: columns of R_s")
+
+    def pair(x, y, c):
+        # (b, row digit, key part, c times the weight) of each term of
+        # g2^b g1^x g2^y, over b < p
+        xp = x % p
+        return [(b, (y + b - k) % p, (x - k, (y + b - k) // p), c * v)
+                for b in range(p) for k, v in table[b][xp]]
+
+    acc: dict[tuple[int, int, tuple[int, ...]], int] = {}
+    for m, c in s.terms.items():
+        terms = pair(m[0], m[1], c)  # (column, row, key, weight) over the pairs so far
+        for t in range(1, n):
+            factor = pair(m[2 * t], m[2 * t + 1], 1)
+            terms = [(col * p + b, row * p + r, key + part, w * v)
+                     for col, row, key, w in terms for b, r, part, v in factor]
+        steps.take(len(terms))
+        for col, row, key, w in terms:
+            cell = (row, col, key)
+            acc[cell] = acc.get(cell, 0) + w
+    cells = []
+    top = [0] * p**n
+    for (row, col, key), c in acc.items():
+        c %= p
+        if c:
             d = sum(key)
             if d > top[row]:
                 top[row] = d
             cells.append((row, col, d, key, c))
+    return cells, top
+
+
+def _split_norm(s: NCPoly, A: WeylAlgebra) -> CommPoly:
+    """det_C(R_s) for the standard h, its entries and det_poly's degree bound
+    from ``_split_cells``; each entry term goes once into det_poly's packed
+    rows.  The determinant lies in Z, so every g1, g3 exponent is a multiple
+    of p and divides into an x1, x3 exponent."""
+    p, nv = A.p, A.ngens
+    size = p**A.n
+    cells, top = _split_cells(s, A)
     pk = Packing(nv, 2 * sum(top))
     w = pk.width
     rows = [{} for _ in range(size)]

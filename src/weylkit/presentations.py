@@ -39,9 +39,10 @@ presentations may be shared freely.  A ``Presentation`` holds only its
 relations, two rewrite caches and the chart's rule-1 rows, and its
 operations are pure: no result depends on the caches or on earlier calls.
 Each top-level call (``multiply``, ``normal_form_word``, one confluence
-overlap) and each of a commutator's two products has its own ``Steps``
-counter of ``REWRITE_BUDGET`` rewrite steps and raises ``TooLargeError``
-naming its stage when the counter runs out.  Cached products cost no steps,
+overlap), each of a commutator's two products and the reduced norm's
+reading of R_s off the Wick table (``norm._split_cells``) has its own
+``Steps`` counter of ``REWRITE_BUDGET`` rewrite steps and raises
+``TooLargeError`` naming its stage when the counter runs out.  Cached products cost no steps,
 so only whether a call runs out can depend on earlier calls.
 """
 
@@ -348,6 +349,17 @@ class Presentation:
             self._check_monomial(m)
         return NCPoly(terms, self.p)
 
+    def check_operands(self, a: NCPoly, b: NCPoly):
+        """The checks a product a * b makes of its operands: both over this
+        F_p, and every monomial of both a PBW monomial here.  Any other
+        operand raises ``MalformedPresentationError``."""
+        if not a.p == b.p == self.p:
+            raise MalformedPresentationError(
+                f"operands over F_{a.p} and F_{b.p} for a presentation over F_{self.p}"
+            )
+        for m in (*a.terms, *b.terms):
+            self._check_monomial(m)
+
     def _check_monomial(self, m: Monomial):
         if len(m) != self.ngens:
             raise MalformedPresentationError("monomial length mismatch")
@@ -582,9 +594,7 @@ class Presentation:
         unreduced instead.  Operands over another F_p raise, and so does a
         malformed monomial, all of a's and b's checked at the first miss."""
         if not a.p == b.p == self.p:
-            raise MalformedPresentationError(
-                f"operands over F_{a.p} and F_{b.p} for a presentation over F_{self.p}"
-            )
+            self.check_operands(a, b)  # raises, naming both fields
         cache = self._mono_mul_cache
         acc = {} if out is None else out
         checked = False
@@ -593,8 +603,7 @@ class Presentation:
                 terms = cache.get((ma, mb))
                 if terms is None:
                     if not checked:
-                        for m in (*a.terms, *b.terms):
-                            self._check_monomial(m)
+                        self.check_operands(a, b)
                         checked = True
                     terms = self._mono_mul(ma, mb, steps)
                 c = sign * ca * cb

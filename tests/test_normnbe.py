@@ -3,17 +3,20 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weylkit.norm
+from weylkit import presentations
 from weylkit.commpoly import CommPoly, Packing, exact_div
 from weylkit.errors import (
     IncompleteSearchError,
     InternalInconsistencyError,
     InvalidFormError,
+    MalformedPresentationError,
     TooLargeError,
 )
 from weylkit.norm import (
@@ -27,8 +30,14 @@ from weylkit.norm import (
     reduced_norm,
     twist_membership,
 )
-from weylkit.presentations import NCPoly
-from weylkit.weylalg import pbw_monomials, validate_symplectic, weyl_presentation
+from weylkit.presentations import NCPoly, Presentation
+from weylkit.weylalg import (
+    SUPPORTED_N,
+    SUPPORTED_P,
+    pbw_monomials,
+    validate_symplectic,
+    weyl_presentation,
+)
 
 
 # -- determinant oracles --------------------------------------------------------
@@ -650,6 +659,115 @@ def test_reduced_norm_builds_no_left_mult_matrix(monkeypatch):
             # the degree law deg N(s) = deg(s) p^(n-1), and the square
             assert reduced_norm(s, A).degree() == s.degree() * p ** (n - 1)
             assert check_norm_symbol_diagram(s, A)
+
+
+def test_reduced_norm_makes_no_product(monkeypatch):
+    # for the standard h, R_s is read off the Wick rows: no PBW product is
+    # formed and the rewrite caches stay empty
+    def multiply(self, a, b):
+        raise AssertionError("reduced_norm formed a PBW product")
+
+    monkeypatch.setattr(Presentation, "multiply", multiply)
+    monkeypatch.setattr(Presentation, "_multiply", multiply)
+    rng = random.Random(8)
+    for p, n in itertools.product(SUPPORTED_P, SUPPORTED_N):
+        A = weyl(p, n)
+        P = A.presentation
+        for s in (random_element(A, rng), NCPoly({(1,) * (2 * n): 1, (0,) * (2 * n): 1}, p)):
+            reduced_norm(s, A)
+        assert not P._mono_mul_cache and not P._mono_gen_cache
+
+
+def split_cells_by_one_step(s, A):
+    """Oracle: the cells {(row, column, key): coefficient} of R_s for the
+    standard h from e_b s formed by one-step reductions, on a cold copy of
+    the presentation without its Wick table (as check_confluence makes it)."""
+    p, P = A.p, A.presentation
+    Q = Presentation(P.names, p, P.relations, P.weights, P.invertible)
+    Q._wick = Q._chart = None
+    cells = {}
+    for col, b in enumerate(itertools.product(range(p), repeat=A.n)):
+        e_b = NCPoly({tuple(e for bi in b for e in (0, bi)): 1}, p)
+        for m, c in Q.multiply(e_b, s).terms.items():
+            row = 0
+            for e in m[1::2]:
+                row = row * p + e % p
+            cells[row, col, tuple(e if i % 2 == 0 else e // p for i, e in enumerate(m))] = c
+    return cells
+
+
+@pytest.mark.parametrize("p,n", list(itertools.product(SUPPORTED_P, SUPPORTED_N)))
+def test_split_cells_match_one_step_products(p, n):
+    A = weyl(p, n)
+    pad = (0,) * (2 * n - 2)
+    # in column b = (1, 0, ..) and row (1, 0, ..): g1 and g1^2 g2 meet under
+    # the key g1, and the two terms of g1 g2 + 1 cancel under the key 1,
+    # since g2 g1 g2 = g1 g2^2 - g2
+    fixed = [
+        NCPoly({(1, 0) + pad: 1, (2, 1) + pad: 1}, p),
+        NCPoly({(1, 0) + pad: 1, (2, 1) + pad: (p + 1) // 2}, p),
+        NCPoly({(1, 1) + pad: 1, (0, 0) + pad: 1}, p),
+    ]
+    rng = random.Random(100 * p + n)
+    elements = fixed + [random_element(A, rng, max_degree=p + 1, max_terms=6) for _ in range(12)]
+    met = cancelled = 0
+    for s in elements:
+        cells, top = weylkit.norm._split_cells(s, A)
+        got = {(row, col, key): c for row, col, _, key, c in cells}
+        assert len(got) == len(cells)
+        assert got == split_cells_by_one_step(s, A), s
+        # each term's degree, and each row's largest: det_poly's degree bound
+        assert all(d == sum(key) for _, _, d, key, _ in cells)
+        assert top == [max((sum(key) for r, _, key in got if r == row), default=0)
+                       for row in range(p**n)]
+        # the cells that two or more terms of s reach, and those that cancel
+        reached = {}
+        for m, c in s.terms.items():
+            for cell in split_cells_by_one_step(NCPoly({m: c}, p), A):
+                reached[cell] = reached.get(cell, 0) + 1
+        met += sum(k > 1 for k in reached.values())
+        cancelled += sum(cell not in got for cell in reached)
+    assert met and cancelled
+
+
+@pytest.mark.parametrize("p,n,s,steps", [
+    # sum over columns b and terms g1^x g2^y of the min(b, x % p) + 1 terms:
+    # 2: 1 + 1 + 1, g1: 1 + 2 + 2, g1^2 g2: 1 + 2 + 3
+    (3, 1, {(0, 0): 2, (1, 0): 1, (2, 1): 1}, 14),
+    # g1 g3: (1 + 2 + 2) for each pair
+    (3, 2, {(1, 0, 1, 0): 1}, 25),
+])
+def test_split_cells_budget(monkeypatch, p, n, s, steps):
+    # one rewrite step per formed term, on one counter for all the columns
+    A = weyl(p, n)
+    s = NCPoly(s, p)
+    want = reduced_norm(s, A)
+    monkeypatch.setattr(presentations, "REWRITE_BUDGET", steps - 1)
+    with pytest.raises(TooLargeError, match=rf"^reduced norm: columns of R_s: rewriting budget "
+                                            rf"of {steps - 1} steps exceeded$"):
+        reduced_norm(s, A)
+    monkeypatch.setattr(presentations, "REWRITE_BUDGET", steps)
+    assert reduced_norm(s, A) == want
+
+
+FOREIGN_ELEMENTS = {
+    "over F_5": (NCPoly({(1, 1): 1}, 5), "operands over F_3 and F_5 for a presentation over F_3"),
+    "zero over F_5": (NCPoly({}, 5), "operands over F_3 and F_5 for a presentation over F_3"),
+    "g1^-1": (NCPoly({(-1, 0): 1}, 3), "negative exponent on non-invertible generator g1"),
+    "g1^-1 after g2": (NCPoly({(0, 1): 1, (-1, 0): 1}, 3),
+                       "negative exponent on non-invertible generator g1"),
+    "length 3": (NCPoly({(1, 1, 0): 1}, 3), "monomial length mismatch"),
+    "length 3 after g1": (NCPoly({(1, 0): 1, (1, 1, 0): 1}, 3), "monomial length mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOREIGN_ELEMENTS))
+def test_reduced_norm_rejects_foreign_elements(case):
+    # the operand checks of Presentation.multiply, made before any term is read
+    s, message = FOREIGN_ELEMENTS[case]
+    A = weyl(3, 1)
+    with pytest.raises(MalformedPresentationError, match=f"^{re.escape(message)}$"):
+        reduced_norm(s, A)
 
 
 @pytest.mark.parametrize("p,n,variable", [(3, 1, 0), (2, 2, 0), (3, 2, 2)])
